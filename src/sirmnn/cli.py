@@ -47,7 +47,8 @@ def _threads() -> int:
         if cap < 1:
             raise UsageError("SIRM_THREADS must be >= 1")
         return cap
-    return min(8, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(8, cpus)
 
 
 def _parse_epsilon_mode(mode: str) -> tuple[str, float | None]:
@@ -291,7 +292,7 @@ def cmd_ddprobe(args) -> int:
         if size > len(quads):
             results.append({"size": size, "status": "none", "note": "size exceeds pool"})
             continue
-        verdict = shattering_search(family, quads, size, seed, max_candidates=args.budget)
+        verdict = shattering_search(family, quads, size, max_candidates=args.budget)
         row = {"size": size, "status": verdict.status, "candidates_checked": verdict.candidates_checked}
         if verdict.witness is not None:
             row["witness"] = list(verdict.witness)

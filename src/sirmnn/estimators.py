@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet, UnlabeledSet
-from .featuremaps import FeatureMap, apply_batch
-from .knn import KnnClassifier, predict_batch
+from .distance import min_sq
+from .featuremaps import FeatureMap
+from .knn import KnnClassifier, _images, predict_batch
 
 __all__ = [
     "LossEstimate",
@@ -35,15 +36,6 @@ class LossEstimate:
     @property
     def errors(self) -> int:
         return round(self.value * self.count)
-
-
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _map_points(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
-    return points if fmap is None else apply_batch(fmap, points)
 
 
 def source_loss(fmap: FeatureMap | None, s_tr: LabeledSet, s_loss: LabeledSet, k: int) -> LossEstimate:
@@ -72,8 +64,8 @@ def source_margin(fmap: FeatureMap | None, s_tr: LabeledSet, s_source: LabeledSe
     clf = KnnClassifier(s_tr, k, fmap)
     pred_a = predict_batch(clf, part_a.unlabeled())
     pred_b = predict_batch(clf, part_b.unlabeled())
-    za = _map_points(fmap, part_a.points)
-    zb = _map_points(fmap, part_b.points)
+    za = _images(fmap, part_a.points)
+    zb = _images(fmap, part_b.points)
     d = np.sqrt(np.einsum("ij,ij->i", za - zb, za - zb))
     disagree = pred_a != pred_b
     if not np.any(disagree):
@@ -94,8 +86,8 @@ def target_margin(fmap: FeatureMap | None, s_margin_t: LabeledSet, u: UnlabeledS
     l = min(m, math.isqrt(n))
     if l == 0:
         raise ValueError("target_margin needs at least one target point and one source point")
-    src = _map_points(fmap, s_margin_t.points[: l * l])
-    tgt = _map_points(fmap, u.points[:l])
+    src = _images(fmap, s_margin_t.points[: l * l])
+    tgt = _images(fmap, u.points[:l])
     blocks = src.reshape(l, l, src.shape[1])
     diff = blocks - tgt[:, None, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
@@ -119,11 +111,6 @@ def beta_estimate(fmap: FeatureMap | None, source_points: UnlabeledSet, target_p
     """
     if len(source_points) == 0 or len(target_points) == 0:
         raise ValueError("both point sets must be non-empty")
-    zs = _map_points(fmap, source_points.points)
-    zt = _map_points(fmap, target_points.points)
-    best = np.full(len(target_points), np.inf)
-    chunk = max(1, 4_000_000 // max(1, len(source_points)))
-    for lo in range(0, len(target_points), chunk):
-        sq = _pairwise_sq(zt[lo : lo + chunk], zs)
-        best[lo : lo + chunk] = sq.min(axis=1)
-    return float(np.sqrt(best.max()))
+    zs = _images(fmap, source_points.points)
+    zt = _images(fmap, target_points.points)
+    return float(np.sqrt(min_sq(zt, zs).max()))

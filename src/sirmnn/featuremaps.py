@@ -332,7 +332,6 @@ def shattering_search(
     family: FeatureFamily,
     quadruples,
     target_size: int,
-    seed: SeedSpec | None = None,
     max_candidates: int = 200_000,
 ) -> ShatteringVerdict:
     """Search for a size-`target_size` set of quadruples shattered by the family.
@@ -342,8 +341,6 @@ def shattering_search(
     comparer dichotomies (a restriction of a shattered set is shattered).
     A subset counts against `max_candidates` each time its dichotomies are
     evaluated; exhausting the budget yields an explicit "inconclusive".
-
-    `seed` is accepted for interface symmetry; enumeration is deterministic.
     """
     quadruples = list(quadruples)
     if not 1 <= target_size <= len(quadruples):

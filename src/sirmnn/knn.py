@@ -6,8 +6,7 @@ votes break ties toward the smallest label id. Both rules are fixed ahead
 of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
-Search is exact brute force over squared distances; queries are evaluated
-in memory-bounded chunks.
+Search is exact brute force over squared distances.
 """
 
 from __future__ import annotations
@@ -18,33 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet, UnlabeledSet, as_point
+from .distance import sq_blocks
 from .featuremaps import FeatureMap, apply_batch
 
 __all__ = ["KSchedule", "k_of_n", "KnnClassifier", "k_nearest", "predict", "predict_batch"]
-
-_CHUNK_TARGET = 4_000_000  # float64 scratch entries per query chunk
 
 
 @dataclass(frozen=True)
 class KSchedule:
     """Rule mapping a training-set size to a neighbor count.
 
-    rule "log_squared" emits ceil(ln(n)^2); rule "fixed" emits a constant;
-    rule "table" looks n up in an explicit {n: k} table (missing n falls
-    back to log_squared). All emitted values are clamped to [1, n].
+    rule "log_squared" emits ceil(ln(n)^2); rule "fixed" emits the
+    constant k. Emitted values are clamped to [1, n].
     """
 
     rule: str = "log_squared"
     k: int | None = None
-    table: dict[int, int] | None = None
 
     def __post_init__(self):
-        if self.rule not in ("log_squared", "fixed", "table"):
+        if self.rule not in ("log_squared", "fixed"):
             raise ValueError(f"unknown schedule rule {self.rule!r}")
         if self.rule == "fixed" and (self.k is None or self.k < 1):
             raise ValueError("fixed schedule needs k >= 1")
-        if self.rule == "table" and not self.table:
-            raise ValueError("table schedule needs a non-empty table")
 
 
 def k_of_n(sched: KSchedule, n: int) -> int:
@@ -53,8 +47,6 @@ def k_of_n(sched: KSchedule, n: int) -> int:
         raise ValueError("n must be >= 1")
     if sched.rule == "fixed":
         raw = sched.k
-    elif sched.rule == "table" and n in sched.table:
-        raw = int(sched.table[n])
     else:
         raw = math.ceil(math.log(n) ** 2)
     return min(n, max(1, raw))
@@ -96,20 +88,11 @@ def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
 def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.ndarray:
     """(m, k) neighbor index matrix ranked by (squared distance, index).
 
-    Squared distances are computed by direct coordinate differences (no
-    norm-expansion shortcut) so that symmetric inputs tie exactly, and the
-    stable sort then resolves those ties toward the earlier index.
+    The stable sort resolves exact distance ties toward the earlier index.
     """
-    n = train_z.shape[0]
-    m = query_z.shape[0]
-    out = np.empty((m, k), dtype=np.int64)
-    chunk = max(1, _CHUNK_TARGET // max(1, n * train_z.shape[1]))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        diff = query_z[lo:hi, None, :] - train_z[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.argsort(sq, axis=1, kind="stable")
-        out[lo:hi] = order[:, :k]
+    out = np.empty((query_z.shape[0], k), dtype=np.int64)
+    for lo, sq in sq_blocks(query_z, train_z):
+        out[lo : lo + sq.shape[0]] = np.argsort(sq, axis=1, kind="stable")[:, :k]
     return out
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import LabeledSet, SeedSpec, UnlabeledSet
+from .distance import min_sq, sq_blocks
 from .estimators import beta_estimate
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
 
@@ -118,14 +119,6 @@ class Scene:
                 )
                 best = min(best, gap)
         return best
-
-    def label_gap(self) -> float:
-        """Worst-case conditional-probability lead of the top label."""
-        if self.label_count == 1:
-            return 1.0
-        return min(
-            (1.0 - c.flip_prob) - c.flip_prob / (self.label_count - 1) for c in self.components
-        )
 
     def to_json(self) -> dict:
         return {
@@ -319,7 +312,7 @@ def _two_ball_scene(centers, labels, geom: PanelGeometry) -> Scene:
     return Scene(2, comps, 2)
 
 
-def figure1_panel(panel: str, geom: PanelGeometry | None = None, seed: SeedSpec | None = None) -> ShiftProblem:
+def figure1_panel(panel: str, geom: PanelGeometry | None = None) -> ShiftProblem:
     """One of three planar two-class problems over the axis projections.
 
     (a) only the y-projection keeps the source classes apart; the target
@@ -334,7 +327,6 @@ def figure1_panel(panel: str, geom: PanelGeometry | None = None, seed: SeedSpec 
     index of the map intended to satisfy all three certified properties.
     """
     geom = geom or PanelGeometry()
-    # `seed` is accepted for interface symmetry; the geometry is deterministic.
     a, r, s = geom.offset, geom.radius, geom.shift
     family = cor_family(2, 1)
     if panel == "a":
@@ -419,11 +411,7 @@ def _min_cross_label_distance(z: np.ndarray, labels: np.ndarray) -> float:
         za, zb = z[mask], z[labels > lab]
         if za.size == 0 or zb.size == 0:
             continue
-        chunk = max(1, 2_000_000 // max(1, zb.shape[0]))
-        for lo in range(0, za.shape[0], chunk):
-            diff = za[lo : lo + chunk, None, :] - zb[None, :, :]
-            sq = np.einsum("ijk,ijk->ij", diff, diff)
-            best = min(best, float(sq.min()))
+        best = min(best, float(min_sq(za, zb).min()))
     return math.sqrt(best) if best < math.inf else math.inf
 
 
@@ -483,10 +471,7 @@ def certify(
     unifies = "pass"
     worst = None
     limit = rho_hat / 2.0
-    chunk = max(1, 2_000_000 // max(1, zs.shape[0]))
-    for lo in range(0, zt.shape[0], chunk):
-        diff = zt[lo : lo + chunk, None, :] - zs[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
+    for lo, sq in sq_blocks(zt, zs):
         close = sq < limit * limit
         if not np.any(close):
             continue
@@ -521,11 +506,8 @@ def induced_source_labeler(
     def labeler(points: np.ndarray) -> np.ndarray:
         z = apply_batch(fmap, np.asarray(points, dtype=np.float64))
         out = np.empty(z.shape[0], dtype=np.int64)
-        chunk = max(1, 4_000_000 // max(1, support_z.shape[0]))
-        for lo in range(0, z.shape[0], chunk):
-            diff = z[lo : lo + chunk, None, :] - support_z[None, :, :]
-            sq = np.einsum("ijk,ijk->ij", diff, diff)
-            out[lo : lo + chunk] = support_labels[sq.argmin(axis=1)]
+        for lo, sq in sq_blocks(z, support_z):
+            out[lo : lo + sq.shape[0]] = support_labels[sq.argmin(axis=1)]
         return out
 
     return labeler
@@ -621,11 +603,7 @@ def perturb_source(
     # Target point farthest (under map2) from the induced source support.
     zs2 = apply_batch(fmap2, src_pts)
     zt2 = apply_batch(fmap2, tgt_pts)
-    gaps = np.empty(zt2.shape[0])
-    chunk = max(1, 4_000_000 // max(1, zs2.shape[0]))
-    for lo in range(0, zt2.shape[0], chunk):
-        diff = zt2[lo : lo + chunk, None, :] - zs2[None, :, :]
-        gaps[lo : lo + chunk] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min(axis=1)
+    gaps = np.sqrt(min_sq(zt2, zs2))
     anchor = int(gaps.argmax())
     escape = float(gaps[anchor])
     if escape <= 4 * ball_radius:

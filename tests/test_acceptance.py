@@ -216,7 +216,7 @@ def test_criterion_04_distance_dimension_consistency():
         rng = SeedSpec(2024_04, trial).rng()
         quads = [ComparerQuery(*rng.random((4, 4))) for _ in range(10)]
         for size in (bound + 1, bound + 2):
-            verdict = shattering_search(family, quads, size, SeedSpec(0), max_candidates=500_000)
+            verdict = shattering_search(family, quads, size, max_candidates=500_000)
             if verdict.status != "none":
                 offenders += 1
     elapsed = time.perf_counter() - start

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sirmnn.cli import main
+from sirmnn.cli import _threads, main
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -329,3 +329,8 @@ class TestEnvThreads:
             "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
         ])
         assert rc == 2
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("SIRM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _threads() == 1

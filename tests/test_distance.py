@@ -1,0 +1,95 @@
+"""Chunk-size independence of every caller of the chunked distance kernel.
+
+Each test reruns a caller with the chunk budget forced down to 1-row chunks
+and to a few rows per chunk (leaving a ragged last chunk), and requires
+exactly the output of the default budget.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from sirmnn import distance
+from sirmnn.core import SeedSpec, UnlabeledSet
+from sirmnn.estimators import beta_estimate
+from sirmnn.knn import _neighbor_indices
+from sirmnn.scenarios import _sample_points, certify, figure1_panel, induced_source_labeler, perturb_source
+
+# 7 rows per chunk against 2000 two-dimensional references.
+RAGGED = 7 * 2000 * 2
+SMALL_BUDGETS = [1, RAGGED]
+
+N, M, K = 2000, 500, 69
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    """Integer points on a 12x12 grid: ~14 copies of each, so distances tie in bulk."""
+    rng = np.random.default_rng(0)
+    train = rng.integers(0, 12, size=(N, 2)).astype(np.float64)
+    queries = rng.integers(0, 12, size=(M, 2)).astype(np.float64)
+    return train, queries
+
+
+def _assert_chunk_independent(monkeypatch, fn):
+    want = fn()
+    for budget in SMALL_BUDGETS:
+        monkeypatch.setattr(distance, "CHUNK_ENTRIES", budget)
+        assert fn() == want, f"budget {budget}"
+    return want
+
+
+def test_blocks_cover_every_row_with_a_ragged_tail(lattice, monkeypatch):
+    train, queries = lattice
+    monkeypatch.setattr(distance, "CHUNK_ENTRIES", RAGGED)
+    blocks = list(distance.sq_blocks(queries, train))
+    rows = [sq.shape[0] for _, sq in blocks]
+    assert rows[0] == 7 and rows[-1] == M % 7 != 0
+    assert [lo for lo, _ in blocks] == list(range(0, M, 7))
+    exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(np.concatenate([sq for _, sq in blocks]), exact)
+    assert np.array_equal(distance.min_sq(queries, train), exact.min(axis=1))
+
+
+@pytest.mark.parametrize("budget", [*SMALL_BUDGETS, distance.CHUNK_ENTRIES])
+def test_neighbor_indices_match_stable_sort_oracle(lattice, monkeypatch, budget):
+    train, queries = lattice
+    exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    ranked = np.sort(exact, axis=1)
+    # k sits inside a run of equal distances for most queries.
+    assert np.mean(ranked[:, K - 1] == ranked[:, K]) > 0.5
+    oracle = np.argsort(exact, axis=1, kind="stable")[:, :K]
+    monkeypatch.setattr(distance, "CHUNK_ENTRIES", budget)
+    assert np.array_equal(_neighbor_indices(train, queries, K), oracle)
+
+
+def test_beta_estimate(lattice, monkeypatch):
+    train, queries = lattice
+    _assert_chunk_independent(
+        monkeypatch, lambda: repr(beta_estimate(None, UnlabeledSet(train), UnlabeledSet(queries)))
+    )
+
+
+def test_certify_with_unify_scan(monkeypatch):
+    prob = figure1_panel("c")
+    report = _assert_chunk_independent(monkeypatch, lambda: json.dumps(certify(prob, 0, seed=SeedSpec(9)).to_json()))
+    # Map 0 passes preserve on panel c, so the unify pair scan runs and fails.
+    assert json.loads(report)["worst_unify_violation"] is not None
+
+
+def test_induced_source_labeler(monkeypatch):
+    prob = figure1_panel("c")
+    probe, _ = _sample_points(prob.target, 500, SeedSpec(4))
+    labeler = induced_source_labeler(prob, 0, 1500, SeedSpec(3))
+    _assert_chunk_independent(monkeypatch, lambda: labeler(probe).tolist())
+
+
+def test_perturb_source(monkeypatch):
+    prob = figure1_panel("b")
+
+    def run():
+        p1, p2 = perturb_source(prob, 1, 0, eps_budget=0.08, seed=SeedSpec(18))
+        return json.dumps([p1.to_json(), p2.to_json()], sort_keys=True)
+
+    _assert_chunk_independent(monkeypatch, run)

@@ -203,20 +203,20 @@ class TestShatteringSearch:
     def test_two_map_family_never_shatters_pairs(self):
         fam = FeatureFamily((coordinate_map(3, [0]), coordinate_map(3, [1])))
         quads = random_quads(3, 12, 0)
-        verdict = shattering_search(fam, quads, 2, SeedSpec(0))
+        verdict = shattering_search(fam, quads, 2)
         assert verdict.status == "none"  # only <= 2 dichotomies available
 
     def test_cor42_target5_none(self):
         fam = cor_family(4, 2)
         quads = random_quads(4, 30, 1)
-        verdict = shattering_search(fam, quads, 5, SeedSpec(0))
+        verdict = shattering_search(fam, quads, 5)
         assert verdict.status == "none"  # 2^5 = 32 > 6 maps
 
     def test_size1_found_with_opposite_bits(self):
         fam = FeatureFamily((coordinate_map(2, [0]), coordinate_map(2, [1])))
         # x-distance 1 vs 2 (bit 0 under phi_x), y-distance 9 vs 0 (bit 1 under phi_y)
         quads = [q_of((0, 0), (1, 9), (0, 0), (2, 0))]
-        verdict = shattering_search(fam, quads, 1, SeedSpec(0))
+        verdict = shattering_search(fam, quads, 1)
         assert verdict.status == "found"
         assert verdict.witness == (0,)
         assert set(verdict.dichotomies) == {(0,), (1,)}
@@ -224,7 +224,7 @@ class TestShatteringSearch:
     def test_budget_exhaustion_is_explicit(self):
         fam = cor_family(4, 1)
         quads = random_quads(4, 25, 2)
-        verdict = shattering_search(fam, quads, 2, SeedSpec(0), max_candidates=3)
+        verdict = shattering_search(fam, quads, 2, max_candidates=3)
         assert verdict.status == "inconclusive"
         assert verdict.candidates_checked == 3
 
@@ -232,7 +232,7 @@ class TestShatteringSearch:
         # An exhaustive independent check of any reported witness.
         fam = cor_family(3, 1)
         quads = random_quads(3, 15, 3)
-        verdict = shattering_search(fam, quads, 1, SeedSpec(0))
+        verdict = shattering_search(fam, quads, 1)
         if verdict.status == "found":
             (j,) = verdict.witness
             bits = {comparer(m, quads[j]) for m in fam.maps}
@@ -244,7 +244,7 @@ class TestShatteringSearch:
         for trial in range(5):
             quads = random_quads(4, 14, 100 + trial)
             for size in range(bound + 1, min(bound + 3, len(quads))):
-                verdict = shattering_search(fam, quads, size, SeedSpec(0))
+                verdict = shattering_search(fam, quads, size)
                 assert verdict.status == "none"
 
     def test_never_exceeds_bound_for_proj(self):
@@ -252,5 +252,5 @@ class TestShatteringSearch:
         bound = math.ceil(distance_dim_upper("proj", 2, 1))  # 4
         for trial in range(3):
             quads = random_quads(2, 12, 200 + trial)
-            verdict = shattering_search(fam, quads, bound + 1, SeedSpec(0))
+            verdict = shattering_search(fam, quads, bound + 1)
             assert verdict.status == "none"

@@ -43,11 +43,6 @@ class TestKSchedule:
     def test_fixed_clamps_to_n(self):
         assert k_of_n(KSchedule("fixed", k=5), 3) == 3
 
-    def test_table(self):
-        sched = KSchedule("table", table={10: 4})
-        assert k_of_n(sched, 10) == 4
-        assert k_of_n(sched, 100) == k_of_n(KSchedule(), 100)
-
     def test_emitted_range(self):
         for n in (1, 2, 10, 97, 10_000):
             assert 1 <= k_of_n(KSchedule(), n) <= n
