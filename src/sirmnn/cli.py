@@ -15,17 +15,26 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from statistics import median, quantiles
 
 from .core import LabeledSet, SeedSpec, UnlabeledSet, load_csv, load_csv_unlabeled, save_csv, save_csv_unlabeled
 from .estimators import empirical_risk
 from .featuremaps import FeatureFamily, cor_family, proj_family_random, shattering_search
 from .knn import KSchedule, k_of_n
-from .learners import LearnerConfig, direct_generalize_nn, feature_validate, presrv_contract_nn
+from .learners import (
+    SOURCE_ONLY_MIN_N,
+    UNLABELED_MIN_N,
+    LearnerConfig,
+    direct_generalize_nn,
+    feature_validate,
+    presrv_contract_nn,
+)
 from .scenarios import PanelGeometry, ShiftProblem, figure1_panel, sample, sample_unlabeled
 from .svg import render_sweep_svg
 
 REGIMES = ("source-only", "unlabeled", "validate")
+MIN_SOURCE_ROWS = {"source-only": SOURCE_ONLY_MIN_N, "unlabeled": UNLABELED_MIN_N, "validate": 1}
 SWEEP_FIELDS = ("learner", "n", "m", "trial", "chosen_map", "fallback", "source_risk", "target_risk", "status")
 
 
@@ -35,6 +44,42 @@ class UsageError(Exception):
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+@contextmanager
+def _caller_input():
+    """Report a ValueError raised while reading caller input as a usage error.
+
+    Only code that parses flags or files wraps itself in this; a ValueError
+    raised anywhere else is an internal error.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _count(text: str) -> int:
+    """argparse type for a non-negative integer flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seed(text: str) -> SeedSpec:
+    """argparse type for --seed: a master seed that fits in 64 unsigned bits."""
+    try:
+        return SeedSpec(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} must list integers, got {text!r}") from None
 
 
 def _threads() -> int:
@@ -68,18 +113,21 @@ def _parse_epsilon_mode(mode: str) -> tuple[str, float | None]:
 
 def _learner_config(args) -> LearnerConfig:
     admission, eps = _parse_epsilon_mode(args.epsilon_mode)
-    sched = KSchedule("fixed", k=args.k) if args.k else KSchedule()
-    return LearnerConfig(epsilon=eps, lambda_=args.lambda_, k_schedule=sched, admission_mode=admission)
+    with _caller_input():
+        sched = KSchedule("fixed", k=args.k) if args.k else KSchedule()
+        return LearnerConfig(epsilon=eps, lambda_=args.lambda_, k_schedule=sched, admission_mode=admission)
 
 
 def _load_problem(args) -> ShiftProblem:
     if getattr(args, "panel", None):
-        geom = PanelGeometry(flip_prob=args.flip_prob)
+        with _caller_input():
+            geom = PanelGeometry(flip_prob=args.flip_prob)
         return figure1_panel(args.panel, geom)
     if getattr(args, "spec", None):
         if not os.path.exists(args.spec):
             raise UsageError(f"problem spec not found: {args.spec}")
-        return ShiftProblem.load(args.spec)
+        with _caller_input():
+            return ShiftProblem.load(args.spec)
     raise UsageError("either --panel or --spec is required")
 
 
@@ -93,7 +141,7 @@ def _require_file(path: str, what: str) -> str:
 
 def cmd_scenario(args) -> int:
     problem = _load_problem(args)
-    seed = SeedSpec(args.seed)
+    seed = args.seed
     os.makedirs(args.out, exist_ok=True)
     problem.save(os.path.join(args.out, "problem.json"))
     save_csv(sample(problem.source, args.n, seed.substream(1)), os.path.join(args.out, "source.csv"))
@@ -123,23 +171,35 @@ def _run_learner(regime: str, problem: ShiftProblem, source: LabeledSet, cfg: Le
     raise UsageError(f"unknown regime {regime!r}")
 
 
+def _load_points(path: str, what: str, problem: ShiftProblem, label_count: int | None):
+    """A non-empty labeled CSV (unlabeled when label_count is None) of the problem's dimension."""
+    path = _require_file(path, what)
+    with _caller_input():
+        points = load_csv_unlabeled(path) if label_count is None else load_csv(path, label_count)
+    if points.dim != problem.family.input_dim:
+        raise UsageError(f"{what} has dimension {points.dim}, the problem needs {problem.family.input_dim}")
+    if len(points) == 0:
+        raise UsageError(f"{what} has no rows")
+    return points
+
+
 def cmd_train(args) -> int:
     problem = _load_problem(args)
-    source = load_csv(_require_file(args.source, "source CSV"), problem.source.label_count)
+    source = _load_points(args.source, "source CSV", problem, problem.source.label_count)
+    if len(source) < MIN_SOURCE_ROWS[args.regime]:
+        raise UsageError(f"regime {args.regime!r} needs at least {MIN_SOURCE_ROWS[args.regime]} source rows")
     cfg = _learner_config(args)
     target_labeled = target_unlabeled = None
     if args.regime == "unlabeled":
-        path = _require_file(args.target, "target CSV")
-        target_unlabeled = load_csv_unlabeled(path)
+        target_unlabeled = _load_points(args.target, "target CSV", problem, None)
     elif args.regime == "validate":
-        path = _require_file(args.target, "target CSV")
-        target_labeled = load_csv(path, problem.target.label_count)
+        target_labeled = _load_points(args.target, "target CSV", problem, problem.target.label_count)
 
     out = _run_learner(args.regime, problem, source, cfg, target_labeled, target_unlabeled)
     result = out.to_json()
     result["regime"] = args.regime
     if args.eval:
-        eval_set = load_csv(_require_file(args.eval, "eval CSV"), problem.target.label_count)
+        eval_set = _load_points(args.eval, "eval CSV", problem, problem.target.label_count)
         result["target_risk"] = empirical_risk(out.classifier, eval_set).value
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
@@ -178,6 +238,7 @@ def _sweep_trial(problem: ShiftProblem, regime: str, cfg: LearnerConfig, n: int,
             "status": "ok",
         }
     except Exception as exc:  # partial failure: mark the record, keep sweeping
+        _log(f"trial ({cell}, {trial}): {type(exc).__name__}: {exc}")
         record = {
             "learner": regime, "n": n, "m": m, "trial": trial,
             "chosen_map": -1, "fallback": 0, "source_risk": "", "target_risk": "",
@@ -215,13 +276,13 @@ def _summarize(records: list[dict]) -> dict:
 def cmd_sweep(args) -> int:
     problem = _load_problem(args)
     cfg = _learner_config(args)
-    grid_n = [int(v) for v in args.grid_n.split(",") if v.strip()]
-    grid_m = [int(v) for v in args.grid_m.split(",") if v.strip()] if args.grid_m else [0]
+    grid_n = _int_list(args.grid_n, "--grid-n")
+    grid_m = _int_list(args.grid_m, "--grid-m") if args.grid_m else [0]
     if not grid_n or args.trials < 1:
         raise UsageError("grid must be non-empty and trials >= 1")
     if args.regime in ("unlabeled", "validate") and all(m == 0 for m in grid_m):
         raise UsageError(f"regime {args.regime!r} needs --grid-m with positive sizes")
-    seed = SeedSpec(args.seed)
+    seed = args.seed
     cells = [(n, m) for n in grid_n for m in grid_m]
     jobs = [(ci, trial, n, m) for ci, (n, m) in enumerate(cells) for trial in range(args.trials)]
 
@@ -254,7 +315,8 @@ def cmd_plot(args) -> int:
         if reader.fieldnames is None or list(reader.fieldnames) != list(SWEEP_FIELDS):
             raise UsageError(f"records CSV has unexpected columns {reader.fieldnames!r}")
         records = list(reader)
-    svg = render_sweep_svg(records)
+    with _caller_input():  # rendering parses the numeric fields of the records
+        svg = render_sweep_svg(records)
     with open(args.out, "w") as fh:
         fh.write(svg)
     _log(f"plot written to {args.out}")
@@ -262,21 +324,24 @@ def cmd_plot(args) -> int:
 
 
 def _parse_family(spec: str, seed: SeedSpec) -> FeatureFamily:
-    if spec.startswith("cor:"):
-        d, k = (int(v) for v in spec[4:].split(","))
-        return cor_family(d, k)
-    if spec.startswith("proj:"):
-        d, k, count = (int(v) for v in spec[5:].split(","))
-        return proj_family_random(d, k, count, seed.substream(1))
-    if os.path.exists(spec):
-        return FeatureFamily.load(spec)
+    try:
+        if spec.startswith("cor:"):
+            d, k = (int(v) for v in spec[4:].split(","))
+            return cor_family(d, k)
+        if spec.startswith("proj:"):
+            d, k, count = (int(v) for v in spec[5:].split(","))
+            return proj_family_random(d, k, count, seed.substream(1))
+        if os.path.exists(spec):
+            return FeatureFamily.load(spec)
+    except ValueError as exc:
+        raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
     raise UsageError(f"bad family spec {spec!r} (expected cor:D,K | proj:D,K,COUNT | path)")
 
 
 def cmd_ddprobe(args) -> int:
-    seed = SeedSpec(args.seed)
+    seed = args.seed
     family = _parse_family(args.family, seed)
-    sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
+    sizes = _int_list(args.sizes, "--sizes")
     if not sizes or min(sizes) < 1:
         raise UsageError("--sizes must list positive integers")
     from .featuremaps import ComparerQuery
@@ -321,16 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--flip-prob", type=float, default=0.0, help="label noise for --panel scenes")
 
     def add_learner_args(sp):
-        sp.add_argument("--k", type=int, default=0, help="fixed neighbor count (default: ceil(ln n)^2)")
+        sp.add_argument("--k", type=_count, default=0, help="fixed neighbor count (default: ceil(ln n)^2)")
         sp.add_argument("--lambda", dest="lambda_", type=float, default=4.0, help="contraction penalty weight")
         sp.add_argument("--epsilon-mode", default="relative", help="paper | relative | fixed:v")
 
     sp = sub.add_parser("scenario", help="generate problem JSON and sampled CSVs")
     add_problem_args(sp)
-    sp.add_argument("--n", type=int, default=2000, help="source sample size")
-    sp.add_argument("--m", type=int, default=0, help="target sample size")
-    sp.add_argument("--eval-n", type=int, default=0, help="held-out labeled target sample size")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_count, default=2000, help="source sample size")
+    sp.add_argument("--m", type=_count, default=0, help="target sample size")
+    sp.add_argument("--eval-n", type=_count, default=0, help="held-out labeled target sample size")
+    sp.add_argument("--seed", type=_seed, default=SeedSpec(0))
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_scenario)
 
@@ -350,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regime", choices=REGIMES, required=True)
     sp.add_argument("--grid-n", required=True, help="comma-separated source sizes")
     sp.add_argument("--grid-m", default="", help="comma-separated target sizes")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--eval-n", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trials", type=_count, default=20)
+    sp.add_argument("--eval-n", type=_count, default=2000)
+    sp.add_argument("--seed", type=_seed, default=SeedSpec(0))
     sp.add_argument("--out-csv", required=True)
     sp.add_argument("--out-json", required=True)
     sp.set_defaults(func=cmd_sweep)
@@ -364,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ddprobe", help="empirical shattering search with the analytic bound")
     sp.add_argument("--family", required=True, help="cor:D,K | proj:D,K,COUNT | family JSON path")
-    sp.add_argument("--quads", type=int, default=30)
+    sp.add_argument("--quads", type=_count, default=30)
     sp.add_argument("--sizes", default="1,2,3,4,5")
-    sp.add_argument("--budget", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--budget", type=_count, default=200_000)
+    sp.add_argument("--seed", type=_seed, default=SeedSpec(0))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_ddprobe)
     return p
@@ -378,10 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        _log(f"error: {exc}")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
     except Exception as exc:  # internal failure

@@ -22,7 +22,9 @@ def sq_blocks(queries: np.ndarray, refs: np.ndarray) -> Iterator[tuple[int, np.n
     chunk = max(1, CHUNK_ENTRIES // max(1, refs.shape[0] * refs.shape[1]))
     for lo in range(0, queries.shape[0], chunk):
         diff = queries[lo : lo + chunk, None, :] - refs[None, :, :]
-        yield lo, np.einsum("ijk,ijk->ij", diff, diff)
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # free the difference tensor while the caller reduces sq
+        yield lo, sq
 
 
 def min_sq(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,12 @@ votes break ties toward the smallest label id. Both rules are fixed ahead
 of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
-Search is exact brute force over squared distances.
+Search is exact brute force over squared distances. Each query row keeps
+its k nearest without sorting all n distances: a partition finds the k-th
+smallest squared distance, every training point at or below it is a
+candidate (so a tie run crossing position k stays whole), and one stable
+sort of the candidates by squared distance, in index order, ranks them.
+The result equals the first k columns of a full stable sort, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,12 +93,34 @@ def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
 def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.ndarray:
     """(m, k) neighbor index matrix ranked by (squared distance, index).
 
-    The stable sort resolves exact distance ties toward the earlier index.
+    Each chunk of distance rows is reduced by :func:`_top_k`, an exact
+    selection equal to the first k columns of a stable row sort.
     """
     out = np.empty((query_z.shape[0], k), dtype=np.int64)
     for lo, sq in sq_blocks(query_z, train_z):
-        out[lo : lo + sq.shape[0]] = np.argsort(sq, axis=1, kind="stable")[:, :k]
+        out[lo : lo + sq.shape[0]] = _top_k(sq, k)
     return out
+
+
+def _top_k(sq: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest entries of each row, ranked by (value, column).
+
+    A partition finds each row's k-th smallest value. Every column at or
+    below it is a candidate, so a run of ties that crosses position k stays
+    whole. Only the candidates are sorted: each row's candidates, in
+    ascending column order, fill the front of a row padded with +inf, and
+    one stable row sort ranks them. Equal values keep the smaller column
+    first, and the padding sorts after every candidate.
+    """
+    # Fancy indexing copies kth, so the partitioned copy of sq is freed here.
+    kth = np.partition(sq, k - 1, axis=1)[:, [k - 1]]
+    rows, cols = np.divmod(np.flatnonzero(sq <= kth), sq.shape[1])
+    starts = np.searchsorted(rows, np.arange(sq.shape[0]))
+    width = np.diff(starts, append=rows.size).max()  # most candidates in one row
+    padded = np.full((sq.shape[0], width), np.inf)
+    padded[rows, np.arange(rows.size) - starts[rows]] = sq[rows, cols]
+    rank = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    return cols[starts[:, None] + rank]
 
 
 def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) -> list[int]:

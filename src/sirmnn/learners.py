@@ -121,6 +121,11 @@ def _argmax_ties_low(values: list[float], eligible: list[bool]) -> int | None:
     return best_i
 
 
+# Smallest source samples the split rules accept.
+SOURCE_ONLY_MIN_N = 8
+UNLABELED_MIN_N = 10
+
+
 def direct_generalize_nn(
     s: LabeledSet, family: FeatureFamily, cfg: LearnerConfig | None = None
 ) -> LearnerOutput:
@@ -134,8 +139,8 @@ def direct_generalize_nn(
     flagged as a fallback.
     """
     cfg = cfg or LearnerConfig()
-    if len(s) < 8:
-        raise ValueError("need at least 8 samples for four non-empty quarters")
+    if len(s) < SOURCE_ONLY_MIN_N:
+        raise ValueError(f"need at least {SOURCE_ONLY_MIN_N} samples for four non-empty quarters")
     s_tr, s_loss, s_margin, s_final = split_fractions(s, (0.25, 0.25, 0.25, 0.25))
     eps = cfg.epsilon_for(len(s))
     k_tr = k_of_n(cfg.k_schedule, len(s_tr))
@@ -174,8 +179,8 @@ def presrv_contract_nn(
     are never read.
     """
     cfg = cfg or LearnerConfig()
-    if len(s) < 10:
-        raise ValueError("need at least 10 samples for five non-empty fifths")
+    if len(s) < UNLABELED_MIN_N:
+        raise ValueError(f"need at least {UNLABELED_MIN_N} samples for five non-empty fifths")
     if len(u) == 0:
         raise ValueError("need at least one unlabeled target point")
     s_tr, s_loss, s_margin, s_margin_t, _s_final = split_fractions(s, (0.2,) * 5)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from sirmnn import cli
 from sirmnn.cli import _threads, main
 
 
@@ -153,10 +154,11 @@ class TestTrain:
 
 
 class TestSweep:
-    def sweep_args(self, tmp_path, tag):
+    def sweep_args(self, tmp_path, tag, regime="source-only"):
+        grid_m = [] if regime == "source-only" else ["--grid-m", "30"]
         return [
-            "sweep", "--panel", "a", "--regime", "source-only",
-            "--grid-n", "100,200", "--trials", "2", "--eval-n", "300",
+            "sweep", "--panel", "a", "--regime", regime,
+            "--grid-n", "100,200", *grid_m, "--trials", "2", "--eval-n", "300",
             "--seed", "9",
             "--out-csv", str(tmp_path / f"rec{tag}.csv"),
             "--out-json", str(tmp_path / f"sum{tag}.json"),
@@ -175,12 +177,39 @@ class TestSweep:
             assert cell["trials"] == 2
 
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        self.assert_thread_count_invariant(tmp_path, monkeypatch, "source-only")
+
+    @pytest.mark.parametrize("regime", ["unlabeled", "validate"])
+    def test_byte_identical_across_thread_counts_with_target(self, tmp_path, monkeypatch, regime):
+        self.assert_thread_count_invariant(tmp_path, monkeypatch, regime)
+
+    def assert_thread_count_invariant(self, tmp_path, monkeypatch, regime):
+        noisy = ["--flip-prob", "0.1"]  # so risks differ from trial to trial
         monkeypatch.setenv("SIRM_THREADS", "1")
-        assert main(self.sweep_args(tmp_path, "b")) == 0
+        assert main(self.sweep_args(tmp_path, "b", regime) + noisy) == 0
         monkeypatch.setenv("SIRM_THREADS", "8")
-        assert main(self.sweep_args(tmp_path, "c")) == 0
+        assert main(self.sweep_args(tmp_path, "c", regime) + noisy) == 0
         assert (tmp_path / "recb.csv").read_bytes() == (tmp_path / "recc.csv").read_bytes()
         assert (tmp_path / "sumb.json").read_bytes() == (tmp_path / "sumc.json").read_bytes()
+
+    def test_failed_trial_keeps_its_message(self, tmp_path, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("map scoring exploded")
+
+        monkeypatch.setattr(cli, "direct_generalize_nn", boom)
+        assert main(self.sweep_args(tmp_path, "f")) == 0
+        err = capsys.readouterr().err
+        for cell in (0, 1):
+            for trial in (0, 1):
+                assert f"trial ({cell}, {trial}): RuntimeError: map scoring exploded" in err
+        rows = [
+            f"source-only,{n},0,{trial},-1,0,,,error:RuntimeError"
+            for n in (100, 200) for trial in (0, 1)
+        ]
+        want = "\r\n".join([",".join(cli.SWEEP_FIELDS), *rows, ""])
+        assert (tmp_path / "recf.csv").read_bytes().decode() == want
+        cells = json.loads((tmp_path / "sumf.json").read_text())["cells"]
+        assert [(c["trials"], c["failed"]) for c in cells] == [(2, 2), (2, 2)]
 
     def test_single_cell_matches_train(self, tmp_path):
         """A 1x1 sweep record equals a train run on identically sampled data."""
@@ -318,6 +347,54 @@ class TestDdprobe:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["results"][0]["status"] == "inconclusive"
+
+
+class TestExitCodes:
+    def test_library_value_error_is_internal(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        def bad(*args):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(cli, "direct_generalize_nn", bad)
+        rc = main([
+            "train", "--regime", "source-only", "--panel", "a",
+            "--source", str(scenario_dir / "source.csv"), "--out", str(tmp_path / "o.json"),
+        ])
+        assert rc == 1
+        assert "internal error: ValueError: library bug" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--flip-prob", "0.7"],
+        ["--lambda", "1.5"],
+        ["--source", "{sc}/target_unlabeled.csv"],
+        ["--source", "{sc}/d3.csv"],
+        ["--source", "{sc}/tiny.csv"],
+        ["--regime", "unlabeled", "--target", "{sc}/empty.csv"],
+    ])
+    def test_bad_train_input_exits_2(self, scenario_dir, tmp_path, flags, capsys):
+        (scenario_dir / "d3.csv").write_text("x_0,x_1,x_2,y\n0.1,0.2,0.3,0\n")
+        (scenario_dir / "empty.csv").write_text("x_0,x_1\n")
+        lines = (scenario_dir / "source.csv").read_text().splitlines(keepends=True)
+        (scenario_dir / "tiny.csv").write_text("".join(lines[:8]))  # header + 7 rows
+        argv = ["train", "--regime", "source-only", "--panel", "a",
+                "--source", str(scenario_dir / "source.csv"), "--out", str(tmp_path / "o.json")]
+        argv += [f.format(sc=scenario_dir) for f in flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["ddprobe", "--family", "cor:3", "--out", "{tmp}/o.json"],
+        ["ddprobe", "--family", "cor:2,5", "--out", "{tmp}/o.json"],
+        ["sweep", "--panel", "a", "--regime", "source-only", "--grid-n", "1x",
+         "--out-csv", "{tmp}/x.csv", "--out-json", "{tmp}/x.json"],
+    ])
+    def test_bad_spec_exits_2(self, tmp_path, argv):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+
+    @pytest.mark.parametrize("flags", [["--n", "-1"], ["--seed", "-1"]])
+    def test_bad_flag_value_exits_2(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--panel", "a", *flags, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 class TestEnvThreads:

@@ -2,13 +2,16 @@
 
 Each test reruns a caller with the chunk budget forced down to 1-row chunks
 and to a few rows per chunk (leaving a ragged last chunk), and requires
-exactly the output of the default budget.
+exactly the output of the default budget. The k-NN search is also compared
+with a full stable-sort oracle on tie-heavy integer lattices.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirmnn import distance
 from sirmnn.core import SeedSpec, UnlabeledSet
@@ -62,6 +65,46 @@ def test_neighbor_indices_match_stable_sort_oracle(lattice, monkeypatch, budget)
     oracle = np.argsort(exact, axis=1, kind="stable")[:, :K]
     monkeypatch.setattr(distance, "CHUNK_ENTRIES", budget)
     assert np.array_equal(_neighbor_indices(train, queries, K), oracle)
+
+
+@st.composite
+def lattice_case(draw):
+    """Integer lattice points with many duplicates, and k placed on a tie run of query 0.
+
+    Returns (train, queries, k, rows per forced chunk). m leaves a ragged
+    last chunk under the forced budget.
+    """
+    n = draw(st.one_of(st.integers(1, 60), st.integers(1000, 3000)))
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 6))
+    rows = draw(st.integers(2, 5))
+    m = rows * draw(st.integers(0, 8)) + draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+    queries = rng.integers(0, side, size=(m, dim)).astype(np.float64)
+    ranked = np.sort(((queries[0] - train) ** 2).sum(axis=1))
+    # The run of equal distances that holds rank position pos: ranked[start:end].
+    pos = rng.integers(n)
+    start = np.searchsorted(ranked, ranked[pos], side="left")
+    end = np.searchsorted(ranked, ranked[pos], side="right")
+    place = draw(st.sampled_from(["start", "inside", "end", "one", "all"]))
+    if place == "inside":
+        k = draw(st.integers(start + 1, end))
+    else:
+        k = {"start": start + 1, "end": end, "one": 1, "all": n}[place]
+    return train, queries, int(k), rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=lattice_case(), forced=st.booleans())
+def test_neighbor_indices_match_stable_sort_oracle_on_tie_heavy_lattices(case, forced):
+    train, queries, k, rows = case
+    exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    oracle = np.argsort(exact, axis=1, kind="stable")[:, :k]
+    budget = rows * train.size if forced else distance.CHUNK_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        assert np.array_equal(_neighbor_indices(train, queries, k), oracle)
 
 
 def test_beta_estimate(lattice, monkeypatch):
