@@ -48,14 +48,17 @@ def _log(msg: str) -> None:
 
 @contextmanager
 def _caller_input():
-    """Report a ValueError raised while reading caller input as a usage error.
+    """Report an error raised while reading caller input as a usage error.
 
-    Only code that parses flags or files wraps itself in this; a ValueError
-    raised anywhere else is an internal error.
+    A ValueError or TypeError is a bad or wrongly typed value, a KeyError a
+    key missing from an input file. Only code that parses flags or files
+    wraps itself in this; such an error raised anywhere else is internal.
     """
     try:
         yield
-    except ValueError as exc:
+    except KeyError as exc:
+        raise UsageError(f"missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -331,10 +334,11 @@ def _parse_family(spec: str, seed: SeedSpec) -> FeatureFamily:
         if spec.startswith("proj:"):
             d, k, count = (int(v) for v in spec[5:].split(","))
             return proj_family_random(d, k, count, seed.substream(1))
-        if os.path.exists(spec):
-            return FeatureFamily.load(spec)
     except ValueError as exc:
         raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
+    if os.path.exists(spec):
+        with _caller_input():
+            return FeatureFamily.load(spec)
     raise UsageError(f"bad family spec {spec!r} (expected cor:D,K | proj:D,K,COUNT | path)")
 
 

@@ -6,12 +6,15 @@ votes break ties toward the smallest label id. Both rules are fixed ahead
 of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
-Search is exact brute force over squared distances. Each query row keeps
-its k nearest without sorting all n distances: a partition finds the k-th
-smallest squared distance, every training point at or below it is a
-candidate (so a tie run crossing position k stays whole), and one stable
-sort of the candidates by squared distance, in index order, ranks them.
-The result equals the first k columns of a full stable sort, bit for bit.
+Search is exact. The full scan keeps each query row's k nearest without
+sorting all n distances: a partition finds the k-th smallest squared
+distance, every training point at or below it is a candidate (so a tie run
+crossing position k stays whole), and one stable sort of the candidates by
+squared distance, in index order, ranks them. 1-D images are first ranked
+inside a window of the 2k sorted training values around each query, and
+only the rows the window cannot settle are scanned in full. Either route
+equals the first k columns of a full stable sort of the squared distances,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distance
 from .core import LabeledSet, UnlabeledSet, as_point
-from .distance import sq_blocks
 from .featuremaps import FeatureMap, apply_batch
 
 __all__ = ["KSchedule", "k_of_n", "KnnClassifier", "k_nearest", "predict", "predict_batch"]
@@ -93,13 +96,69 @@ def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
 def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.ndarray:
     """(m, k) neighbor index matrix ranked by (squared distance, index).
 
-    Each chunk of distance rows is reduced by :func:`_top_k`, an exact
-    selection equal to the first k columns of a stable row sort.
+    1-D images go through :func:`_window_search` first. The rows it does not
+    settle, and every row of higher-dimensional images, are scanned against
+    all n training images in chunks, each reduced by :func:`_top_k`, an
+    exact selection equal to the first k columns of a stable row sort.
     """
     out = np.empty((query_z.shape[0], k), dtype=np.int64)
-    for lo, sq in sq_blocks(query_z, train_z):
-        out[lo : lo + sq.shape[0]] = _top_k(sq, k)
+    if train_z.shape[1] == 1:
+        rows = _window_search(train_z[:, 0], query_z[:, 0], k, out)
+    else:
+        rows = np.arange(query_z.shape[0])
+    for lo, sq in distance.sq_blocks(query_z[rows], train_z):
+        out[rows[lo : lo + sq.shape[0]]] = _top_k(sq, k)
     return out
+
+
+def _window_search(x: np.ndarray, q: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Rank 1-D neighbors inside a window of the sorted training values.
+
+    Writes out[i] for every query q[i] and returns the rows whose window
+    result may differ from the full ranking; the caller rescans those.
+
+    The training values are stable-sorted once, so equal values keep index
+    order. Each query takes the w = min(n, 2k) consecutive sorted values
+    starting k places before its insertion point (clipped to the ends), and
+    its squared distances d * d, d = q - x, are the bits the full scan
+    computes. A stable sort of each window row ranks them. Rounded
+    subtraction is monotone in x and squaring is monotone in |d|, so along
+    the sorted order the squared distance never rises and then never falls
+    (the images are finite, so no NaN arises). A row is settled when
+
+    - the sorted value just outside either end of its window (a +-inf
+      sentinel past the ends of the array) is farther than the k-th ranked
+      window value, so every value outside the window is farther still; and
+    - every run of equal distances among its k ranked ones, and the run of
+      all window distances equal to the k-th, comes from one repeated
+      training value. Copies of one value sit at consecutive sorted
+      positions in index order, which the stable window sort keeps. Any
+      other tie (a point mirrored across the query, or a rounding tie) may
+      need index order across values, so the row is rescanned.
+    """
+    n = x.size
+    w = min(n, 2 * k)
+    order = np.argsort(x, kind="stable")
+    xs = np.concatenate(([-np.inf], x[order], [np.inf]))
+    cols = np.arange(w + 2)  # the window and its two outside neighbors
+    rescan = np.zeros(q.size, dtype=bool)
+    chunk = max(1, distance.CHUNK_ENTRIES // (w + 2))
+    for lo in range(0, q.size, chunk):
+        qc = q[lo : lo + chunk, None]
+        start = np.clip(np.searchsorted(xs, qc) - 1 - k, 0, n - w)
+        vals = xs[start + cols]
+        d = qc - vals
+        sq = d * d
+        rank = np.argsort(sq[:, 1:-1], axis=1, kind="stable")[:, :k]
+        ranked = np.take_along_axis(sq, rank + 1, axis=1)
+        ranked_vals = np.take_along_axis(vals, rank + 1, axis=1)
+        kth, kth_val = ranked[:, -1:], ranked_vals[:, -1:]
+        spill = (sq[:, [0, -1]] <= kth).any(axis=1)
+        mixed = (ranked[:, 1:] == ranked[:, :-1]) & (ranked_vals[:, 1:] != ranked_vals[:, :-1])
+        mixed_kth = (sq == kth) & (vals != kth_val)
+        rescan[lo : lo + qc.shape[0]] = spill | mixed.any(axis=1) | mixed_kth.any(axis=1)
+        out[lo : lo + qc.shape[0]] = order[start + rank]
+    return np.flatnonzero(rescan)
 
 
 def _top_k(sq: np.ndarray, k: int) -> np.ndarray:
@@ -139,7 +198,9 @@ def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) 
 
 def _vote(neighbor_labels: np.ndarray, label_count: int) -> np.ndarray:
     """Plurality vote per row; ties go to the smallest label id."""
-    counts = (neighbor_labels[:, :, None] == np.arange(label_count)[None, None, :]).sum(axis=1)
+    m = neighbor_labels.shape[0]
+    keys = np.arange(m)[:, None] * label_count + neighbor_labels
+    counts = np.bincount(keys.ravel(), minlength=m * label_count).reshape(m, label_count)
     return counts.argmax(axis=1)
 
 

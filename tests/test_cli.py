@@ -390,6 +390,18 @@ class TestExitCodes:
     def test_bad_spec_exits_2(self, tmp_path, argv):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
 
+    @pytest.mark.parametrize("argv, text, key", [
+        (["scenario", "--spec", "{f}", "--out", "{tmp}/x"], "{}", "'source'"),
+        (["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], "{}", "'D'"),
+        (["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], '{"D": 2, "maps": 3}', "not iterable"),
+    ])
+    def test_bad_json_file_exits_2(self, tmp_path, argv, text, key, capsys):
+        spec = tmp_path / "f.json"
+        spec.write_text(text)
+        assert main([a.format(f=spec, tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     @pytest.mark.parametrize("flags", [["--n", "-1"], ["--seed", "-1"]])
     def test_bad_flag_value_exits_2(self, tmp_path, flags):
         with pytest.raises(SystemExit) as exc:

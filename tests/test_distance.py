@@ -3,7 +3,8 @@
 Each test reruns a caller with the chunk budget forced down to 1-row chunks
 and to a few rows per chunk (leaving a ragged last chunk), and requires
 exactly the output of the default budget. The k-NN search is also compared
-with a full stable-sort oracle on tie-heavy integer lattices.
+with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
+floats a few ulps apart, which exercise the window search of 1-D images.
 """
 
 import json
@@ -67,29 +68,52 @@ def test_neighbor_indices_match_stable_sort_oracle(lattice, monkeypatch, budget)
     assert np.array_equal(_neighbor_indices(train, queries, K), oracle)
 
 
+# Centres of the 1-D float cases: at 0 and 2**-488 the squares of differences
+# of a few ulps underflow, so distinct differences square to the same double;
+# at 1 and 3 they are exact.
+FLOAT_CENTRES = [0.0, 2.0**-488, 1.0, 3.0]
+
+
 @st.composite
 def lattice_case(draw):
-    """Integer lattice points with many duplicates, and k placed on a tie run of query 0.
+    """Points with many duplicates and ties, and k placed on a tie run of query 0.
 
-    Returns (train, queries, k, rows per forced chunk). m leaves a ragged
-    last chunk under the forced budget.
+    Integer lattices of dim 1-3, or 1-D floats a few ulps apart around a
+    centre (optionally with half the points mirrored across query 0), with
+    queries reaching past the training values so that windows clip at both
+    ends. Returns (train, queries, k, rows per forced chunk). m leaves a
+    ragged last chunk under the forced budget.
     """
     n = draw(st.one_of(st.integers(1, 60), st.integers(1000, 3000)))
-    dim = draw(st.integers(1, 3))
-    side = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["lattice", "ulps", "mirror"]))
     rows = draw(st.integers(2, 5))
     m = rows * draw(st.integers(0, 8)) + draw(st.integers(1, rows - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    train = rng.integers(0, side, size=(n, dim)).astype(np.float64)
-    queries = rng.integers(0, side, size=(m, dim)).astype(np.float64)
+    if kind == "lattice":
+        dim, side = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        train = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+        queries = rng.integers(0, side, size=(m, dim)).astype(np.float64)
+    else:
+        # Integer steps of one ulp of the centre: every value and difference is exact.
+        centre = draw(st.sampled_from(FLOAT_CENTRES))
+        steps = draw(st.integers(1, 40))
+        train_steps = rng.integers(-steps, steps + 1, size=(n, 1))
+        query_steps = rng.integers(-steps - 3, steps + 4, size=(m, 1))
+        if kind == "mirror":
+            half = rng.random(n) < 0.5
+            train_steps[half] = 2 * query_steps[0] - train_steps[half]
+        ulp = np.spacing(centre)
+        train, queries = centre + ulp * train_steps, centre + ulp * query_steps
     ranked = np.sort(((queries[0] - train) ** 2).sum(axis=1))
     # The run of equal distances that holds rank position pos: ranked[start:end].
     pos = rng.integers(n)
     start = np.searchsorted(ranked, ranked[pos], side="left")
     end = np.searchsorted(ranked, ranked[pos], side="right")
-    place = draw(st.sampled_from(["start", "inside", "end", "one", "all"]))
+    place = draw(st.sampled_from(["start", "inside", "end", "one", "all", "near_all"]))
     if place == "inside":
         k = draw(st.integers(start + 1, end))
+    elif place == "near_all":
+        k = max(1, n - draw(st.integers(1, 3)))
     else:
         k = {"start": start + 1, "end": end, "one": 1, "all": n}[place]
     return train, queries, int(k), rows

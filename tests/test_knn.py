@@ -5,7 +5,7 @@ import pytest
 
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.featuremaps import identity_map, linear_map
-from sirmnn.knn import KnnClassifier, KSchedule, k_nearest, k_of_n, predict, predict_batch
+from sirmnn.knn import KnnClassifier, KSchedule, _vote, k_nearest, k_of_n, predict, predict_batch
 from sirmnn.scenarios import PanelGeometry, figure1_panel, sample
 
 from test_core import make_set
@@ -97,6 +97,23 @@ class TestPredict:
         train = make_set([[0.0], [1.0]], [1, 0])
         clf = KnnClassifier(train, 2)
         assert predict(clf, (0.4,)) == 0
+
+    @pytest.mark.parametrize("label_count", range(1, 7))
+    def test_vote_matches_one_hot_count(self, label_count):
+        # Random rows, then rows where t labels share the top count exactly.
+        rng = np.random.default_rng(label_count)
+        rows = list(rng.integers(0, label_count, size=(100, 12)))
+        winners = []
+        for t in (t for t in (1, 2, 3, 4, 6) if t <= label_count):
+            for _ in range(20):
+                tied = rng.choice(label_count, size=t, replace=False)
+                rows.append(rng.permutation(np.repeat(tied, 12 // t)))
+                winners.append(int(tied.min()))
+        labels = np.array(rows)
+        one_hot = (labels[:, :, None] == np.arange(label_count)).sum(axis=1).argmax(axis=1)
+        votes = _vote(labels, label_count)
+        assert np.array_equal(votes, one_hot)
+        assert votes[100:].tolist() == winners
 
     def test_dimension_mismatch(self):
         train = make_set([[0.0, 0.0]], [0])
