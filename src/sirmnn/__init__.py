@@ -24,7 +24,6 @@ from .estimators import (
     LossEstimate,
     beta_estimate,
     empirical_risk,
-    source_loss,
     source_margin,
     target_margin,
 )

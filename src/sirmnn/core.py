@@ -28,6 +28,16 @@ __all__ = [
 
 # Shortest repr that round-trips a float64 exactly.
 FLOAT_FMT = "%.17g"
+SCHEMA_VERSION = 1
+
+
+def _check_schema(obj: dict) -> None:
+    """Reject a JSON object that states a schema version other than ours.
+
+    An object without "schema_version" is read as the current version.
+    """
+    if "schema_version" in obj and obj["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {obj['schema_version']!r}, expected {SCHEMA_VERSION}")
 
 
 def as_point(coords) -> np.ndarray:

@@ -18,7 +18,6 @@ from .knn import KnnClassifier, _images, predict_batch
 
 __all__ = [
     "LossEstimate",
-    "source_loss",
     "source_margin",
     "target_margin",
     "empirical_risk",
@@ -38,36 +37,24 @@ class LossEstimate:
         return round(self.value * self.count)
 
 
-def source_loss(fmap: FeatureMap | None, s_tr: LabeledSet, s_loss: LabeledSet, k: int) -> LossEstimate:
-    """Fraction of `s_loss` misclassified by k-NN on `s_tr` through the map."""
-    if len(s_loss) == 0:
-        raise ValueError("loss evaluation set must be non-empty")
-    clf = KnnClassifier(s_tr, k, fmap)
-    preds = predict_batch(clf, s_loss.unlabeled())
-    wrong = int(np.count_nonzero(preds != s_loss.labels))
-    return LossEstimate(wrong / len(s_loss), len(s_loss))
-
-
-def source_margin(fmap: FeatureMap | None, s_tr: LabeledSet, s_source: LabeledSet, k: int) -> float:
+def source_margin(classifier: KnnClassifier, s_source: LabeledSet) -> float:
     """Smallest map-space distance between index-matched pairs predicted differently.
 
     `s_source` is halved in insertion order; pair i couples point i of the
     first half with point i of the second (a trailing element of an odd set
-    is dropped). Pairs on which the k-NN predictions agree contribute
+    is dropped). Both halves are predicted by `classifier` and measured
+    through its map. Pairs on which the k-NN predictions agree contribute
     math.inf, so an all-agreeing sample yields math.inf.
     """
     if len(s_source) < 2:
         raise ValueError("margin sample must have at least 2 points")
     half = len(s_source) // 2
-    part_a = s_source.slice(0, half)
-    part_b = s_source.slice(half, 2 * half)
-    clf = KnnClassifier(s_tr, k, fmap)
-    pred_a = predict_batch(clf, part_a.unlabeled())
-    pred_b = predict_batch(clf, part_b.unlabeled())
-    za = _images(fmap, part_a.points)
-    zb = _images(fmap, part_b.points)
-    d = np.sqrt(np.einsum("ij,ij->i", za - zb, za - zb))
-    disagree = pred_a != pred_b
+    pairs = s_source.slice(0, 2 * half)
+    preds = predict_batch(classifier, pairs.unlabeled())
+    z = _images(classifier.fmap, pairs.points)
+    diff = z[:half] - z[half:]
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    disagree = preds[:half] != preds[half:]
     if not np.any(disagree):
         return math.inf
     return float(d[disagree].min())

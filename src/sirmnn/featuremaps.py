@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeedSpec, as_point
+from .core import SCHEMA_VERSION, SeedSpec, _check_schema, as_point
 
 __all__ = [
     "FeatureMap",
@@ -29,8 +29,6 @@ __all__ = [
     "ShatteringVerdict",
     "shattering_search",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +254,7 @@ class FeatureFamily:
 
     @staticmethod
     def from_json(obj: dict) -> "FeatureFamily":
+        _check_schema(obj)
         dim = int(obj["D"])
         maps = []
         for entry in obj["maps"]:
@@ -267,6 +266,12 @@ class FeatureFamily:
                 maps.append(linear_map(entry["matrix"]))
             else:
                 raise ValueError(f"unrecognized map entry {entry!r}")
+        out_dim = int(obj["K"])
+        for i, m in enumerate(maps):
+            if (m.input_dim, m.output_dim) != (dim, out_dim):
+                raise ValueError(
+                    f"map {i} takes {m.input_dim} to {m.output_dim} dims, the family states D={dim}, K={out_dim}"
+                )
         return FeatureFamily(tuple(maps), provenance=obj.get("provenance", "explicit"))
 
     def save(self, path) -> None:

@@ -82,12 +82,6 @@ class KnnClassifier:
         # Precompute train images once; reused by every query.
         object.__setattr__(self, "_train_z", _images(self.fmap, self.train.points))
 
-    def predict(self, query) -> int:
-        return predict(self, query)
-
-    def predict_batch(self, queries: UnlabeledSet) -> np.ndarray:
-        return predict_batch(self, queries)
-
 
 def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
     return points if fmap is None else apply_batch(fmap, points)
@@ -184,16 +178,12 @@ def _top_k(sq: np.ndarray, k: int) -> np.ndarray:
 
 def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) -> list[int]:
     """Indices of the k nearest training points to `query`, tie-broken by order."""
-    if len(train) == 0:
-        raise ValueError("training set must be non-empty")
-    if not 1 <= k <= len(train):
-        raise ValueError(f"k must be in [1, {len(train)}], got {k}")
+    c = KnnClassifier(train, k, fmap)
     q = as_point(query)
-    if fmap is None and q.shape[0] != train.dim:
+    if q.shape[0] != train.dim:
         raise ValueError("query dimension does not match training set")
-    train_z = _images(fmap, train.points)
     query_z = _images(fmap, q.reshape(1, -1))
-    return [int(i) for i in _neighbor_indices(train_z, query_z, k)[0]]
+    return [int(i) for i in _neighbor_indices(c._train_z, query_z, k)[0]]
 
 
 def _vote(neighbor_labels: np.ndarray, label_count: int) -> np.ndarray:
@@ -206,12 +196,7 @@ def _vote(neighbor_labels: np.ndarray, label_count: int) -> np.ndarray:
 
 def predict(c: KnnClassifier, query) -> int:
     """Predicted label id for a single query point."""
-    q = as_point(query)
-    if q.shape[0] != c.train.dim:
-        raise ValueError("query dimension does not match training set")
-    query_z = _images(c.fmap, q.reshape(1, -1))
-    idx = _neighbor_indices(c._train_z, query_z, c.k)
-    return int(_vote(c.train.labels[idx], c.train.label_count)[0])
+    return int(predict_batch(c, UnlabeledSet(as_point(query).reshape(1, -1)))[0])
 
 
 def predict_batch(c: KnnClassifier, queries: UnlabeledSet) -> np.ndarray:

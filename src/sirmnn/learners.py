@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .core import LabeledSet, UnlabeledSet, split_fractions
-from .estimators import source_loss, source_margin, target_margin
+from .estimators import empirical_risk, source_margin, target_margin
 from .featuremaps import FeatureFamily
-from .knn import KnnClassifier, KSchedule, k_of_n, predict_batch
+from .knn import KnnClassifier, KSchedule, k_of_n
 
 __all__ = [
     "LearnerConfig",
@@ -104,21 +104,24 @@ class LearnerOutput:
         }
 
 
-def _admitted_mask(losses: list[float], eps: float, mode: str) -> list[bool]:
+def _admit_and_choose(
+    losses: list[float], scores: list[float], eps: float, mode: str
+) -> tuple[int, list[bool], bool]:
+    """(chosen index, admission mask, fallback) of a source-side rule.
+
+    Maps are admitted on held-out loss and the admitted map with the largest
+    score wins, the smallest index on ties. If admission rejects every map,
+    the lowest-loss map (smallest index on ties) is chosen as a fallback.
+    """
     if mode == "absolute":
-        return [v < eps for v in losses]
-    best = min(losses)
-    return [v <= best + eps for v in losses]
-
-
-def _argmax_ties_low(values: list[float], eligible: list[bool]) -> int | None:
-    best_i = None
-    for i, (v, ok) in enumerate(zip(values, eligible)):
-        if not ok:
-            continue
-        if best_i is None or v > values[best_i]:
-            best_i = i
-    return best_i
+        admitted = [v < eps for v in losses]
+    else:
+        best = min(losses)
+        admitted = [v <= best + eps for v in losses]
+    eligible = [i for i, ok in enumerate(admitted) if ok]
+    if not eligible:
+        return losses.index(min(losses)), admitted, True
+    return max(eligible, key=scores.__getitem__), admitted, False
 
 
 # Smallest source samples the split rules accept.
@@ -132,11 +135,13 @@ def direct_generalize_nn(
     """Source-only rule: admit low-loss maps, keep the widest-margin one.
 
     The sample is quartered in insertion order into train / loss / margin /
-    final parts. Maps are admitted on their held-out loss, the admitted map
-    with the largest observed margin wins, and the returned classifier is
-    k-NN through the winner trained on the final quarter. If admission
-    rejects every map, the lowest-loss map is used and the output is
-    flagged as a fallback.
+    final parts. Each map's k-NN classifier on the train quarter is built
+    once and scored twice: its error rate on the loss quarter and its
+    paired margin on the margin quarter. Maps are admitted on that loss, the
+    admitted map with the largest observed margin wins, and the returned
+    classifier is k-NN through the winner trained on the final quarter. If
+    admission rejects every map, the lowest-loss map is used and the output
+    is flagged as a fallback.
     """
     cfg = cfg or LearnerConfig()
     if len(s) < SOURCE_ONLY_MIN_N:
@@ -145,14 +150,10 @@ def direct_generalize_nn(
     eps = cfg.epsilon_for(len(s))
     k_tr = k_of_n(cfg.k_schedule, len(s_tr))
 
-    losses = [source_loss(m, s_tr, s_loss, k_tr).value for m in family.maps]
-    margins = [source_margin(m, s_tr, s_margin, k_tr) for m in family.maps]
-    admitted = _admitted_mask(losses, eps, cfg.admission_mode)
-
-    chosen = _argmax_ties_low(margins, admitted)
-    fallback = chosen is None
-    if fallback:
-        chosen = min(range(len(family)), key=lambda i: (losses[i], i))
+    clfs = [KnnClassifier(s_tr, k_tr, m) for m in family.maps]
+    losses = [empirical_risk(c, s_loss).value for c in clfs]
+    margins = [source_margin(c, s_margin) for c in clfs]
+    chosen, admitted, fallback = _admit_and_choose(losses, margins, eps, cfg.admission_mode)
 
     diagnostics = tuple(
         MapDiagnostics(i, source_loss=losses[i], source_margin=margins[i], admitted=admitted[i])
@@ -171,12 +172,13 @@ def presrv_contract_nn(
     """Source + unlabeled-target rule: widest margin after a contraction penalty.
 
     The sample is split into five parts in insertion order (train / loss /
-    margin / target-margin / final). Admission works as in the source-only
-    rule; among admitted maps the winner maximizes
+    margin / target-margin / final). Each map's k-NN classifier on the
+    train part is built once; admission works on its loss as in the
+    source-only rule, and among admitted maps the winner maximizes
     source_margin - lambda * target_margin, so an infinite observed margin
     with a finite contraction estimate dominates every finite score. The
-    returned classifier is trained on the first (train) part. Target labels
-    are never read.
+    winner's scored classifier, trained on the first (train) part, is
+    returned. Target labels are never read.
     """
     cfg = cfg or LearnerConfig()
     if len(s) < UNLABELED_MIN_N:
@@ -187,16 +189,12 @@ def presrv_contract_nn(
     eps = cfg.epsilon_for(len(s))
     k_tr = k_of_n(cfg.k_schedule, len(s_tr))
 
-    losses = [source_loss(m, s_tr, s_loss, k_tr).value for m in family.maps]
-    rho_s = [source_margin(m, s_tr, s_margin, k_tr) for m in family.maps]
+    clfs = [KnnClassifier(s_tr, k_tr, m) for m in family.maps]
+    losses = [empirical_risk(c, s_loss).value for c in clfs]
+    rho_s = [source_margin(c, s_margin) for c in clfs]
     rho_t = [target_margin(m, s_margin_t, u) for m in family.maps]
     scores = [rs - cfg.lambda_ * rt for rs, rt in zip(rho_s, rho_t)]
-    admitted = _admitted_mask(losses, eps, cfg.admission_mode)
-
-    chosen = _argmax_ties_low(scores, admitted)
-    fallback = chosen is None
-    if fallback:
-        chosen = min(range(len(family)), key=lambda i: (losses[i], i))
+    chosen, admitted, fallback = _admit_and_choose(losses, scores, eps, cfg.admission_mode)
 
     diagnostics = tuple(
         MapDiagnostics(
@@ -209,8 +207,7 @@ def presrv_contract_nn(
         )
         for i in range(len(family))
     )
-    clf = KnnClassifier(s_tr, k_tr, family[chosen])
-    return LearnerOutput(chosen, clf, diagnostics, fallback=fallback, epsilon=eps)
+    return LearnerOutput(chosen, clfs[chosen], diagnostics, fallback=fallback, epsilon=eps)
 
 
 def feature_validate(
@@ -220,21 +217,17 @@ def feature_validate(
 
     For each map the empirical risk on `t` of k-NN through that map trained
     on all of `s` is computed; the lowest-risk map (smallest index on ties)
-    wins and its classifier, trained on all of `s`, is returned.
+    wins and its scored classifier, trained on all of `s`, is returned.
     """
     if len(s) == 0 or len(t) == 0:
         raise ValueError("source and target sets must be non-empty")
-    losses = []
-    for m in family.maps:
-        clf = KnnClassifier(s, k, m)
-        preds = predict_batch(clf, t.unlabeled())
-        losses.append(float((preds != t.labels).mean()))
-    chosen = min(range(len(family)), key=lambda i: (losses[i], i))
+    clfs = [KnnClassifier(s, k, m) for m in family.maps]
+    losses = [empirical_risk(c, t).value for c in clfs]
+    chosen = losses.index(min(losses))
     diagnostics = tuple(
         MapDiagnostics(i, target_loss=losses[i], admitted=True) for i in range(len(family))
     )
-    clf = KnnClassifier(s, k, family[chosen])
-    return LearnerOutput(chosen, clf, diagnostics, fallback=False, epsilon=None)
+    return LearnerOutput(chosen, clfs[chosen], diagnostics, fallback=False, epsilon=None)
 
 
 def target_sample_budget(dd_upper: float, n: int, epsilon: float, delta: float, c: float) -> int:

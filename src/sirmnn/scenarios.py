@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabeledSet, SeedSpec, UnlabeledSet
+from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema
 from .distance import min_sq, sq_blocks
 from .estimators import beta_estimate
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
@@ -41,8 +41,6 @@ __all__ = [
     "twin_targets",
     "perturb_source",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -139,6 +137,7 @@ class Scene:
 
     @staticmethod
     def from_json(obj: dict) -> "Scene":
+        _check_schema(obj)
         comps = tuple(
             SceneComponent(
                 center=tuple(c["center"]),
@@ -263,12 +262,12 @@ class ShiftProblem:
 
     @staticmethod
     def from_json(obj: dict) -> "ShiftProblem":
-        gt = obj.get("ground_truth")
+        _check_schema(obj)
         return ShiftProblem(
             Scene.from_json(obj["source"]),
             Scene.from_json(obj["target"]),
             FeatureFamily.from_json(obj["family"]),
-            tuple(gt) if gt is not None else None,
+            obj.get("ground_truth"),
         )
 
     def save(self, path) -> None:

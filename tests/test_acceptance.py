@@ -17,7 +17,7 @@ import pytest
 
 from sirmnn.cli import main as cli_main
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
-from sirmnn.estimators import empirical_risk, source_loss, source_margin
+from sirmnn.estimators import empirical_risk, source_margin
 from sirmnn.featuremaps import (
     ComparerQuery,
     apply,
@@ -374,7 +374,7 @@ def test_criterion_09_lower_bound_witnesses():
 
 
 def test_criterion_10_estimator_calibration():
-    # (a) Hoeffding envelope for source_loss
+    # (a) Hoeffding envelope for the held-out source loss
     prob = figure1_panel("a", PanelGeometry(flip_prob=0.1))
     n_loss = 400
     envelope = 3 * math.sqrt(math.log(2 / 0.01) / (2 * n_loss))
@@ -383,9 +383,10 @@ def test_criterion_10_estimator_calibration():
         seed = SeedSpec(2024_10, trial)
         s_tr = sample(prob.source, 200, seed.substream(0))
         s_loss = sample(prob.source, n_loss, seed.substream(1))
-        est = source_loss(prob.family[1], s_tr, s_loss, 9)
+        clf = KnnClassifier(s_tr, 9, prob.family[1])
+        est = empirical_risk(clf, s_loss)
         proxy = sample(prob.source, 20_000, seed.substream(2))
-        true_risk = source_loss(prob.family[1], s_tr, proxy, 9).value
+        true_risk = empirical_risk(clf, proxy).value
         if abs(est.value - true_risk) <= envelope:
             inside += 1
 
@@ -397,7 +398,7 @@ def test_criterion_10_estimator_calibration():
         seed = SeedSpec(2024_10, 1000 + trial)
         s_tr = sample(clean.source, 600, seed.substream(0))
         s_src = sample(clean.source, 200, seed.substream(1))
-        if source_margin(None, s_tr, s_src, 1) >= rho:
+        if source_margin(KnnClassifier(s_tr, 1), s_src) >= rho:
             margin_ok += 1
     _report(
         10, "estimator calibration",

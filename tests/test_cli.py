@@ -394,6 +394,13 @@ class TestExitCodes:
         (["scenario", "--spec", "{f}", "--out", "{tmp}/x"], "{}", "'source'"),
         (["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], "{}", "'D'"),
         (["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], '{"D": 2, "maps": 3}', "not iterable"),
+        (["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"],
+         '{"D": 5, "K": 2, "maps": [{"matrix": [[1, 0], [0, 1], [0, 0]]}, {"matrix": [[0, 1], [1, 0], [0, 0]]}]}',
+         "D=5, K=2"),
+        (["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"],
+         '{"schema_version": 7, "D": 2, "K": 1, "maps": [{"J": [0]}, {"J": [1]}]}', "schema_version 7"),
+        (["scenario", "--spec", "{f}", "--out", "{tmp}/x"], '{"schema_version": 2}', "schema_version 2"),
+        (["scenario", "--spec", "{f}", "--out", "{tmp}/x"], "[]", "list indices"),
     ])
     def test_bad_json_file_exits_2(self, tmp_path, argv, text, key, capsys):
         spec = tmp_path / "f.json"

@@ -7,7 +7,6 @@ from sirmnn.core import SeedSpec, UnlabeledSet
 from sirmnn.estimators import (
     beta_estimate,
     empirical_risk,
-    source_loss,
     source_margin,
     target_margin,
 )
@@ -22,7 +21,7 @@ class TestSourceLoss:
     def test_memorization_is_zero(self):
         rng = np.random.default_rng(0)
         s = make_set(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), 2)
-        assert source_loss(None, s, s, 1).value == 0.0
+        assert empirical_risk(KnnClassifier(s, 1), s).value == 0.0
 
     def test_all_flipped_is_one(self):
         rng = np.random.default_rng(1)
@@ -30,15 +29,15 @@ class TestSourceLoss:
         labels = np.array([0] * 10 + [1] * 10)
         s_tr = make_set(pts, labels, 2)
         s_loss = make_set(pts, 1 - labels, 2)
-        assert source_loss(None, s_tr, s_loss, 1).value == 1.0
+        assert empirical_risk(KnnClassifier(s_tr, 1), s_loss).value == 1.0
 
     def test_matches_sequential_oracle(self):
         rng = np.random.default_rng(2)
         s_tr = make_set(rng.normal(size=(50, 3)), rng.integers(0, 3, 50), 3)
         s_loss = make_set(rng.normal(size=(50, 3)), rng.integers(0, 3, 50), 3)
         fmap = coordinate_map(3, [0, 2])
-        est = source_loss(fmap, s_tr, s_loss, 5)
         clf = KnnClassifier(s_tr, 5, fmap)
+        est = empirical_risk(clf, s_loss)
         wrong = sum(predict(clf, x) != y for x, y in zip(s_loss.points, s_loss.labels))
         assert est.value == wrong / 50
         assert est.count == 50
@@ -48,20 +47,20 @@ class TestSourceLoss:
         s = make_set([[0.0]], [0])
         empty = s.slice(0, 0)
         with pytest.raises(ValueError):
-            source_loss(None, s, empty, 1)
+            empirical_risk(KnnClassifier(s, 1), empty)
 
 
 class TestSourceMargin:
     def test_all_same_prediction_is_inf(self):
         s_tr = make_set([[0.0], [1.0]], [0, 0])
         s_src = make_set([[0.1], [0.2], [0.3], [0.4]], [0] * 4)
-        assert source_margin(None, s_tr, s_src, 1) == math.inf
+        assert source_margin(KnnClassifier(s_tr, 1), s_src) == math.inf
 
     def test_hand_case(self):
         # pairs: ((0,0),(1,0)) predicted (A,B) -> d=1; ((0,0),(3,0)) predicted (A,A) -> inf
         s_tr = make_set([[0.0, 0.0], [1.2, 0.0], [3.0, 0.0]], [0, 1, 0])
         s_src = make_set([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [0, 0, 1, 0])
-        assert source_margin(None, s_tr, s_src, 1) == 1.0
+        assert source_margin(KnnClassifier(s_tr, 1), s_src) == 1.0
 
     def test_odd_sample_drops_last(self):
         rng = np.random.default_rng(3)
@@ -69,12 +68,13 @@ class TestSourceMargin:
         pts = rng.normal(size=(11, 2))
         odd = make_set(pts, rng.integers(0, 2, 11), 2)
         even = make_set(pts[:10], odd.labels[:10], 2)
-        assert source_margin(None, s_tr, odd, 3) == source_margin(None, s_tr, even, 3)
+        clf = KnnClassifier(s_tr, 3)
+        assert source_margin(clf, odd) == source_margin(clf, even)
 
     def test_too_small_errors(self):
         s = make_set([[0.0]], [0])
         with pytest.raises(ValueError):
-            source_margin(None, s, s, 1)
+            source_margin(KnnClassifier(s, 1), s)
 
     def test_never_below_true_margin_with_exact_predictor(self):
         # Noiseless separated scene; a dense memorizing 1-NN matches the
@@ -85,7 +85,7 @@ class TestSourceMargin:
             seed = SeedSpec(900 + trial)
             s_tr = sample(prob.source, 600, seed.substream(0))
             s_src = sample(prob.source, 200, seed.substream(1))
-            got = source_margin(None, s_tr, s_src, 1)
+            got = source_margin(KnnClassifier(s_tr, 1), s_src)
             assert got >= rho
 
 
@@ -157,14 +157,6 @@ class TestEmpiricalRisk:
         eval_set = make_set(pts, [0, 1] * 50, 2)
         assert empirical_risk(clf, eval_set).value == 0.5
 
-    def test_cross_check_with_source_loss(self):
-        rng = np.random.default_rng(9)
-        s_tr = make_set(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), 2)
-        ev = make_set(rng.normal(size=(60, 2)), rng.integers(0, 2, 60), 2)
-        fmap = coordinate_map(2, [1])
-        clf = KnnClassifier(s_tr, 5, fmap)
-        assert empirical_risk(clf, ev).value == source_loss(fmap, s_tr, ev, 5).value
-
 
 class TestBetaEstimate:
     def test_target_subset_of_source(self):
@@ -192,14 +184,13 @@ class TestBetaEstimate:
         rng = np.random.default_rng(12)
         s_tr = make_set(rng.normal(size=(30, 2)), rng.integers(0, 2, 30), 2)
         ev = make_set(rng.normal(size=(30, 2)), rng.integers(0, 2, 30), 2)
-        assert 0.0 <= source_loss(None, s_tr, ev, 3).value <= 1.0
         assert 0.0 <= empirical_risk(KnnClassifier(s_tr, 3), ev).value <= 1.0
         assert beta_estimate(None, s_tr.unlabeled(), ev.unlabeled()) >= 0.0
 
 
 @pytest.mark.slow
 def test_hoeffding_calibration_small():
-    """source_loss stays inside the 99% Hoeffding envelope (x3 slack)."""
+    """The held-out source loss stays inside the 99% Hoeffding envelope (x3 slack)."""
     prob = figure1_panel("a", PanelGeometry(flip_prob=0.1))
     n_loss = 400
     envelope = 3 * math.sqrt(math.log(2 / 0.01) / (2 * n_loss))
@@ -209,9 +200,10 @@ def test_hoeffding_calibration_small():
         seed = SeedSpec(3000 + trial)
         s_tr = sample(prob.source, 200, seed.substream(0))
         s_loss = sample(prob.source, n_loss, seed.substream(1))
-        est = source_loss(identity_map(2), s_tr, s_loss, 9)
+        clf = KnnClassifier(s_tr, 9, identity_map(2))
+        est = empirical_risk(clf, s_loss)
         truth = sample(prob.source, 20_000, seed.substream(2))
-        true_risk = source_loss(identity_map(2), s_tr, truth, 9).value
+        true_risk = empirical_risk(clf, truth).value
         if abs(est.value - true_risk) <= envelope:
             hits += 1
     assert hits >= trials - 1

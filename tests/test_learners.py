@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sirmnn import knn
 from sirmnn.core import SeedSpec, UnlabeledSet
 from sirmnn.estimators import empirical_risk
 from sirmnn.featuremaps import FeatureFamily, cor_family, identity_map
@@ -200,6 +201,39 @@ class TestFeatureValidate:
         s = random_labeled(10, 2, 11)
         with pytest.raises(ValueError):
             feature_validate(s, s.slice(0, 0), cor_family(2, 1), k=1)
+
+
+FAMILY = cor_family(4, 2)  # F = 6 maps
+F = len(FAMILY)
+
+
+@pytest.mark.parametrize("learn, built, searches", [
+    (lambda s, u, t: direct_generalize_nn(s, FAMILY), F + 1, 2 * F),
+    (lambda s, u, t: presrv_contract_nn(s, u, FAMILY), F, 2 * F),
+    (lambda s, u, t: feature_validate(s, t, FAMILY, 3), F, F),
+], ids=["source-only", "unlabeled", "validate"])
+def test_one_classifier_per_map(monkeypatch, learn, built, searches):
+    """Each rule trains one k-NN classifier per map and searches it once per
+    query set: loss and margin for the source-side rules, the target for
+    validation. The source-only rule also trains its final classifier."""
+    s = random_labeled(80, 4, 30)
+    u = UnlabeledSet(np.random.default_rng(31).normal(size=(20, 4)))
+    t = random_labeled(20, 4, 32)
+    counts = {"built": 0, "searches": 0}
+    post_init, search = knn.KnnClassifier.__post_init__, knn._neighbor_indices
+
+    def counted_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(knn.KnnClassifier, "__post_init__", counted_post_init)
+    monkeypatch.setattr(knn, "_neighbor_indices", counted_search)
+    learn(s, u, t)
+    assert counts == {"built": built, "searches": searches}
 
 
 class TestTargetSampleBudget:
