@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from statistics import median, quantiles
 
-from .core import LabeledSet, SeedSpec, UnlabeledSet, load_csv, load_csv_unlabeled, save_csv, save_csv_unlabeled
+from .core import (SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, load_csv, load_csv_unlabeled, save_csv,
+                   save_csv_unlabeled, write_json)
 from .estimators import empirical_risk
 from .featuremaps import FeatureFamily, cor_family, proj_family_random, shattering_search
 from .knn import KSchedule, k_of_n
@@ -204,9 +205,7 @@ def cmd_train(args) -> int:
     if args.eval:
         eval_set = _load_points(args.eval, "eval CSV", problem, problem.target.label_count)
         result["target_risk"] = empirical_risk(out.classifier, eval_set).value
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result, args.out)
     summary = {"chosen_map_index": out.chosen_map_index}
     if "target_risk" in result:
         summary["target_risk"] = result["target_risk"]
@@ -273,7 +272,7 @@ def _summarize(records: list[dict]) -> dict:
                 q = quantiles(risks, n=4)
                 cell["target_risk_q1"], cell["target_risk_q3"] = q[0], q[2]
         out.append(cell)
-    return {"schema_version": 1, "cells": out}
+    return {"schema_version": SCHEMA_VERSION, "cells": out}
 
 
 def cmd_sweep(args) -> int:
@@ -304,9 +303,7 @@ def cmd_sweep(args) -> int:
         w = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         w.writeheader()
         w.writerows(records)
-    with open(args.out_json, "w") as fh:
-        json.dump(_summarize(records), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_summarize(records), args.out_json)
     _log(f"{len(records)} records -> {args.out_csv}; total trial time {total_time:.1f}s")
     return 0
 
@@ -367,15 +364,13 @@ def cmd_ddprobe(args) -> int:
             row["witness"] = list(verdict.witness)
         results.append(row)
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "family": {"provenance": family.provenance, "size": len(family), "D": dim, "K": family.output_dim},
         "dd_upper": family.dd_upper(),
         "quad_count": len(quads),
         "results": results,
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report, args.out)
     print(json.dumps({"dd_upper": report["dd_upper"], "results": results}, sort_keys=True))
     return 0
 

@@ -8,6 +8,7 @@ All randomness flows through :class:`SeedSpec`; no global RNG state.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,13 @@ def _check_schema(obj: dict) -> None:
     """
     if "schema_version" in obj and obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {obj['schema_version']!r}, expected {SCHEMA_VERSION}")
+
+
+def write_json(obj, path) -> None:
+    """Write `obj` as indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def as_point(coords) -> np.ndarray:
@@ -187,17 +195,26 @@ def split_fractions(s: LabeledSet, fractions) -> list[LabeledSet]:
     return parts
 
 
-def _header(dim: int) -> list[str]:
-    return [f"x_{i}" for i in range(dim)] + ["y"]
+def _header(dim: int, labeled: bool) -> list[str]:
+    return [f"x_{i}" for i in range(dim)] + (["y"] if labeled else [])
 
 
 def save_csv(s: LabeledSet, path) -> None:
     """Write header x_0..x_{D-1},y and one row per item, in order."""
+    _write_csv(path, s.points, s.labels)
+
+
+def save_csv_unlabeled(u: UnlabeledSet, path) -> None:
+    """Write header x_0..x_{D-1} and one row per point, in order."""
+    _write_csv(path, u.points, None)
+
+
+def _write_csv(path, points: np.ndarray, labels: np.ndarray | None) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_header(s.dim))
-        for row, label in zip(s.points, s.labels):
-            w.writerow([FLOAT_FMT % v for v in row] + [int(label)])
+        w.writerow(_header(points.shape[1], labels is not None))
+        for i, row in enumerate(points):
+            w.writerow([FLOAT_FMT % v for v in row] + ([] if labels is None else [int(labels[i])]))
 
 
 def load_csv(path, label_count: int | None = None) -> LabeledSet:
@@ -205,66 +222,39 @@ def load_csv(path, label_count: int | None = None) -> LabeledSet:
 
     `label_count` defaults to max(label)+1 (1 for an empty file).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: missing header") from None
-        dim = _parse_header(header, path, labeled=True)
-        points, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                points.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed numeric value") from None
-    pts = np.asarray(points, dtype=np.float64).reshape(len(points), dim)
-    lab = np.asarray(labels, dtype=np.int64)
+    pts, lab = _read_csv(path, labeled=True)
     if label_count is None:
         label_count = int(lab.max()) + 1 if lab.size else 1
     return LabeledSet(pts, lab, label_count)
 
 
-def save_csv_unlabeled(u: UnlabeledSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x_{i}" for i in range(u.dim)])
-        for row in u.points:
-            w.writerow([FLOAT_FMT % v for v in row])
-
-
 def load_csv_unlabeled(path) -> UnlabeledSet:
+    """Read points written by :func:`save_csv_unlabeled`, preserving row order."""
+    return UnlabeledSet(_read_csv(path, labeled=False)[0])
+
+
+def _read_csv(path, labeled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(points, labels) of a CSV file; labels is empty unless `labeled`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: missing header") from None
-        dim = _parse_header(header, path, labeled=False)
-        points = []
+        cols = [h.strip() for h in header]
+        dim = len(cols) - int(labeled)
+        if dim < 1 or cols != _header(dim, labeled):
+            raise ValueError(f"{path}: line 1: bad header {cols!r}")
+        points, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != dim:
-                raise ValueError(f"{path}: line {lineno}: expected {dim} fields, got {len(row)}")
+            if len(row) != len(cols):
+                raise ValueError(f"{path}: line {lineno}: expected {len(cols)} fields, got {len(row)}")
             try:
-                points.append([float(v) for v in row])
+                points.append([float(v) for v in row[:dim]])
+                if labeled:
+                    labels.append(int(row[dim]))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed numeric value") from None
-    pts = np.asarray(points, dtype=np.float64).reshape(len(points), dim)
-    return UnlabeledSet(pts)
-
-
-def _parse_header(header: list[str], path, labeled: bool) -> int:
-    cols = [h.strip() for h in header]
-    want_label = 1 if labeled else 0
-    dim = len(cols) - want_label
-    expected = [f"x_{i}" for i in range(dim)] + (["y"] if labeled else [])
-    if dim < 1 or cols != expected:
-        raise ValueError(f"{path}: line 1: bad header {cols!r}")
-    return dim
+    return np.asarray(points, dtype=np.float64).reshape(len(points), dim), np.asarray(labels, dtype=np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCHEMA_VERSION, SeedSpec, _check_schema, as_point
+from .core import SCHEMA_VERSION, SeedSpec, _check_schema, as_point, write_json
 
 __all__ = [
     "FeatureMap",
@@ -102,15 +102,8 @@ def linear_map(matrix) -> FeatureMap:
 
 
 def apply(fmap: FeatureMap, x) -> np.ndarray:
-    """Image of a single point under the map."""
-    x = as_point(x)
-    if x.shape[0] != fmap.input_dim:
-        raise ValueError(f"dimension mismatch: point has {x.shape[0]}, map expects {fmap.input_dim}")
-    if fmap.kind == "identity":
-        return x
-    if fmap.kind == "coordinate_subset":
-        return x[list(fmap.coords)]
-    return x @ fmap.matrix
+    """Image of a single point under the map: :func:`apply_batch` on one row."""
+    return apply_batch(fmap, as_point(x).reshape(1, -1))[0]
 
 
 def apply_batch(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:
@@ -275,9 +268,7 @@ class FeatureFamily:
         return FeatureFamily(tuple(maps), provenance=obj.get("provenance", "explicit"))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @staticmethod
     def load(path) -> "FeatureFamily":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LabeledSet, UnlabeledSet, split_fractions
+from .core import SCHEMA_VERSION, LabeledSet, UnlabeledSet, split_fractions
 from .estimators import empirical_risk, source_margin, target_margin
 from .featuremaps import FeatureFamily
 from .knn import KnnClassifier, KSchedule, k_of_n
@@ -42,10 +42,10 @@ class LearnerConfig:
     admission_mode: str = "relative"
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.lambda_ <= 2:
-            raise ValueError("lambda_ must exceed 2")
+        if self.epsilon is not None and (not math.isfinite(self.epsilon) or self.epsilon <= 0):
+            raise ValueError("epsilon must be finite and positive")
+        if not math.isfinite(self.lambda_) or self.lambda_ <= 2:
+            raise ValueError("lambda_ must be finite and exceed 2")
         if self.admission_mode not in ("absolute", "relative"):
             raise ValueError(f"unknown admission mode {self.admission_mode!r}")
 
@@ -94,7 +94,7 @@ class LearnerOutput:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "chosen_map_index": self.chosen_map_index,
             "fallback": self.fallback,
             "epsilon": self.epsilon,

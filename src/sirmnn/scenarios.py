@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema
+from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema, write_json
 from .distance import min_sq, sq_blocks
 from .estimators import beta_estimate
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
@@ -57,10 +57,10 @@ class SceneComponent:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("component center must be finite")
-        if self.radius < 0:
-            raise ValueError("component radius must be non-negative")
-        if self.weight <= 0:
-            raise ValueError("component weight must be positive")
+        if not math.isfinite(self.radius) or self.radius < 0:
+            raise ValueError("component radius must be finite and non-negative")
+        if not math.isfinite(self.weight) or self.weight <= 0:
+            raise ValueError("component weight must be finite and positive")
         if not 0 <= self.flip_prob < 0.5:
             raise ValueError("flip_prob must lie in [0, 0.5)")
 
@@ -104,19 +104,13 @@ class Scene:
         min over label-crossing component pairs of (center distance minus
         radii); math.inf when all components share one label.
         """
-        best = math.inf
-        comps = self.components
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if comps[i].label == comps[j].label:
-                    continue
-                gap = (
-                    math.dist(comps[i].center, comps[j].center)
-                    - comps[i].radius
-                    - comps[j].radius
-                )
-                best = min(best, gap)
-        return best
+        i, j = np.triu_indices(len(self.components), 1)
+        labels = np.asarray([c.label for c in self.components])
+        radii = np.asarray([c.radius for c in self.components])
+        centers = self.centers()
+        cross = labels[i] != labels[j]
+        gaps = _distances(centers, centers)[i, j] - radii[i] - radii[j]
+        return float(gaps[cross].min()) if cross.any() else math.inf
 
     def to_json(self) -> dict:
         return {
@@ -170,7 +164,7 @@ def sample_unlabeled(scene: Scene, n: int, seed: SeedSpec) -> UnlabeledSet:
     if n < 0:
         raise ValueError("n must be >= 0")
     pts, _ = _sample_points(scene, n, seed)
-    return UnlabeledSet(pts.reshape(n, scene.dim))
+    return UnlabeledSet(pts)
 
 
 def _sample_points(scene: Scene, n: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,16 +199,13 @@ def bayes_label(scene: Scene, x) -> int:
     """Most-probable label at x: the (unflipped) label of the owning ball.
 
     Points outside every ball get the label of the nearest component
-    surface; use :func:`in_support` to detect that case.
+    surface. Ties go to the smallest component index.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    dists = np.linalg.norm(scene.centers() - x[None, :], axis=1)
-    radii = np.asarray([c.radius for c in scene.components])
-    surface = np.maximum(dists - radii, 0.0)
-    return int(scene.components[int(surface.argmin())].label)
+    return int(bayes_labels_batch(scene, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
 def bayes_labels_batch(scene: Scene, points: np.ndarray) -> np.ndarray:
+    """:func:`bayes_label` of each row of an (n, D) point array."""
     pts = np.asarray(points, dtype=np.float64)
     dists = np.linalg.norm(pts[:, None, :] - scene.centers()[None, :, :], axis=2)
     radii = np.asarray([c.radius for c in scene.components])
@@ -222,13 +213,6 @@ def bayes_labels_batch(scene: Scene, points: np.ndarray) -> np.ndarray:
     comp = surface.argmin(axis=1)
     labels = np.asarray([c.label for c in scene.components], dtype=np.int64)
     return labels[comp]
-
-
-def in_support(scene: Scene, x, tol: float = 1e-12) -> bool:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    dists = np.linalg.norm(scene.centers() - x[None, :], axis=1)
-    radii = np.asarray([c.radius for c in scene.components])
-    return bool(np.any(dists <= radii + tol))
 
 
 def bayes_risk(scene: Scene) -> float:
@@ -271,9 +255,7 @@ class ShiftProblem:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @staticmethod
     def load(path) -> "ShiftProblem":
@@ -364,8 +346,8 @@ class CertBudget:
             raise ValueError("budget sample sizes too small")
         if not 0 <= self.preserve_fail <= self.preserve_pass:
             raise ValueError("need 0 <= preserve_fail <= preserve_pass")
-        if self.lambda_ <= 2:
-            raise ValueError("contraction constant must exceed 2")
+        if not math.isfinite(self.lambda_) or self.lambda_ <= 2:
+            raise ValueError("contraction constant must be finite and exceed 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,22 +526,24 @@ def twin_targets(
         labeler = induced_source_labeler(problem, idx, dense_n, seed.substream(32, idx))
         comps = []
         for ci, comp in enumerate(problem.target.components):
-            one = Scene(problem.target.dim, (replace(comp, weight=1.0),), problem.target.label_count)
-            probe, _ = _sample_points(one, probe_n, seed.substream(33, ci))
-            votes = labeler(probe)
+            votes = labeler(_component_points(problem.target, ci, probe_n, seed.substream(33, ci)))
             counts = np.bincount(votes, minlength=problem.target.label_count)
             comps.append(replace(comp, label=int(counts.argmax()), flip_prob=0.0))
         scenes.append(Scene(problem.target.dim, tuple(comps), problem.target.label_count))
     return scenes[0], scenes[1]
 
 
+def _component_points(scene: Scene, ci: int, n: int, seed: SeedSpec) -> np.ndarray:
+    """n points drawn uniformly from the ball of component ci alone."""
+    one = Scene(scene.dim, (replace(scene.components[ci], weight=1.0),), scene.label_count)
+    return _sample_points(one, n, seed)[0]
+
+
 def _image_regions(scene: Scene, fmap: FeatureMap, n_per_comp: int, seed: SeedSpec):
     """Sampled map-space images of each component, with labels."""
     zs, labels = [], []
     for ci, comp in enumerate(scene.components):
-        one = Scene(scene.dim, (replace(comp, weight=1.0),), scene.label_count)
-        pts, _ = _sample_points(one, n_per_comp, seed.substream(41, ci))
-        zs.append(apply_batch(fmap, pts))
+        zs.append(apply_batch(fmap, _component_points(scene, ci, n_per_comp, seed.substream(41, ci))))
         labels.append(np.full(n_per_comp, comp.label))
     return np.concatenate(zs), np.concatenate(labels)
 
@@ -640,7 +624,6 @@ def _place_four_balls(problem, fmap1, fmap2, x, y1, y2, s, seed):
     pairwise 4s-apart, clear of the existing source support, and their
     images under both maps must keep differently-labeled regions apart.
     """
-    dim = problem.source.dim
     n_img = 400
     img1_z, img1_lab = _image_regions(problem.source, fmap1, n_img, seed.substream(61))
     img2_z, img2_lab = _image_regions(problem.source, fmap2, n_img, seed.substream(62))
@@ -650,10 +633,9 @@ def _place_four_balls(problem, fmap1, fmap2, x, y1, y2, s, seed):
         float(np.abs(problem.target.centers()).max()),
         1.0,
     )
-    null1 = _null_space(fmap1, dim)
-    null2 = _null_space(fmap2, dim)
-    row1 = _row_direction(fmap1, dim)
-    row2 = _row_direction(fmap2, dim)
+    m1, m2 = _matrix_of(fmap1), _matrix_of(fmap2)
+    null1, row1 = _null_rows_and_row_direction(m1)
+    null2, row2 = _null_rows_and_row_direction(m2)
     if null1.size == 0 or null2.size == 0:
         raise ValueError("maps must lose rank for the construction to apply")
 
@@ -661,36 +643,28 @@ def _place_four_balls(problem, fmap1, fmap2, x, y1, y2, s, seed):
     offsets = [c * span for c in (4.0, -4.0, 6.0, -6.0, 8.0, -8.0)]
     image_steps = [c * span for c in (1.0, 1.5, 2.0, -1.0, -1.5, -2.0)]
 
-    guard = clear + 2 * s * max(
-        float(np.linalg.norm(_matrix_of(fmap1, dim), 2)),
-        float(np.linalg.norm(_matrix_of(fmap2, dim), 2)),
-        1.0,
-    )
+    # The spectral norm is taken on its own: the SVD's largest singular value
+    # can differ from it in the last bit.
+    guard = clear + 2 * s * max(float(np.linalg.norm(m1, 2)), float(np.linalg.norm(m2, 2)), 1.0)
+    radii = np.asarray([c.radius for c in problem.source.components])
+    labs = [y1, y2, y2, y1]
+    lab_arr = np.asarray(labs)
+    differ = lab_arr[:, None] != lab_arr[None, :]
+    apart = ~np.eye(len(labs), dtype=bool)
 
-    def ok(cands, labs):
-        pts = np.asarray(cands)
-        labs_arr = np.asarray(labs)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.linalg.norm(pts[i] - pts[j]) <= clear:
-                    return False
-        for comp in problem.source.components:
-            d = np.linalg.norm(pts - np.asarray(comp.center)[None, :], axis=1)
-            if np.any(d <= comp.radius + clear):
-                return False
+    def ok(pts):
+        if np.any(_distances(pts, pts)[apart] <= clear):
+            return False
+        if np.any(_distances(pts, problem.source.centers()) <= radii + clear):
+            return False
         # Only distances involving an inserted ball are constrained here;
         # the host scene's own margin is whatever it already is.
         for fmap, img_z, img_lab in ((fmap1, img1_z, img1_lab), (fmap2, img2_z, img2_lab)):
             z = apply_batch(fmap, pts)
-            for i in range(len(z)):
-                other = img_lab != labs_arr[i]
-                if np.any(other):
-                    d = np.linalg.norm(img_z[other] - z[i][None, :], axis=1)
-                    if float(d.min()) <= guard:
-                        return False
-                for j in range(i + 1, len(z)):
-                    if labs_arr[i] != labs_arr[j] and np.linalg.norm(z[i] - z[j]) <= guard:
-                        return False
+            if np.any(_distances(z, img_z)[lab_arr[:, None] != img_lab[None, :]] <= guard):
+                return False
+            if np.any(_distances(z, z)[differ] <= guard):
+                return False
         return True
 
     for t1 in offsets:
@@ -701,36 +675,26 @@ def _place_four_balls(problem, fmap1, fmap2, x, y1, y2, s, seed):
                 x2 = x + t2 * null2[0]
                 for h2 in image_steps:
                     x2p = x2 + h2 * row2 + (t2 / 2) * null2[0]
-                    cands = [x1, x1p, x2, x2p]
-                    labs = [y1, y2, y2, y1]
-                    if ok(cands, labs):
-                        return [np.asarray(c, dtype=np.float64) for c in cands], labs
+                    pts = np.stack([x1, x1p, x2, x2p])
+                    if ok(pts):
+                        return list(pts), labs
     raise ValueError("geometry cannot host the four disjoint balls")
 
 
-def _matrix_of(fmap: FeatureMap, dim: int) -> np.ndarray:
-    if fmap.kind == "identity":
-        return np.eye(dim)
-    if fmap.kind == "coordinate_subset":
-        m = np.zeros((dim, len(fmap.coords)))
-        for k, j in enumerate(fmap.coords):
-            m[j, k] = 1.0
-        return m
-    return np.asarray(fmap.matrix, dtype=np.float64)
+def _matrix_of(fmap: FeatureMap) -> np.ndarray:
+    """The (D, K) matrix of the map: the images of the unit vectors."""
+    return fmap.matrix if fmap.kind == "linear" else apply_batch(fmap, np.eye(fmap.input_dim))
 
 
-def _null_space(fmap: FeatureMap, dim: int) -> np.ndarray:
-    """Orthonormal rows spanning directions the map sends to zero."""
-    m = _matrix_of(fmap, dim)
+def _null_rows_and_row_direction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the directions the (D, K) matrix m sends to
+    zero, and a unit direction with a non-zero image, from one SVD."""
     _, sv, vt = np.linalg.svd(m.T, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12))
-    return vt[rank:]
-
-
-def _row_direction(fmap: FeatureMap, dim: int) -> np.ndarray:
-    """A unit direction with a non-zero image under the map."""
-    m = _matrix_of(fmap, dim)
-    _, sv, vt = np.linalg.svd(m.T, full_matrices=True)
-    if sv.size == 0 or sv[0] <= 1e-12:
+    if sv[0] <= 1e-12:
         raise ValueError("map has no non-trivial image direction")
-    return vt[0]
+    return vt[int(np.sum(sv > 1e-12)):], vt[0]
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row of a to every row of b."""
+    return np.sqrt(np.vstack([sq for _, sq in sq_blocks(a, b)]))

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import os
 
 import pytest
 
 from sirmnn import cli
 from sirmnn.cli import _threads, main
+from sirmnn.scenarios import figure1_panel
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -13,6 +15,13 @@ def run(argv, env=None, monkeypatch=None):
         for k, v in env.items():
             monkeypatch.setenv(k, v)
     return main(argv)
+
+
+def _panel_a_with(field: str, value: float) -> str:
+    """Problem JSON of panel a with one field of its first source ball replaced."""
+    obj = figure1_panel("a").to_json()
+    obj["source"]["components"][0][field] = value
+    return json.dumps(obj)
 
 
 @pytest.fixture()
@@ -369,6 +378,9 @@ class TestExitCodes:
         ["--source", "{sc}/d3.csv"],
         ["--source", "{sc}/tiny.csv"],
         ["--regime", "unlabeled", "--target", "{sc}/empty.csv"],
+        ["--lambda", "nan"],
+        ["--lambda", "inf"],
+        ["--epsilon-mode", "fixed:nan"],
     ])
     def test_bad_train_input_exits_2(self, scenario_dir, tmp_path, flags, capsys):
         (scenario_dir / "d3.csv").write_text("x_0,x_1,x_2,y\n0.1,0.2,0.3,0\n")
@@ -401,6 +413,10 @@ class TestExitCodes:
          '{"schema_version": 7, "D": 2, "K": 1, "maps": [{"J": [0]}, {"J": [1]}]}', "schema_version 7"),
         (["scenario", "--spec", "{f}", "--out", "{tmp}/x"], '{"schema_version": 2}', "schema_version 2"),
         (["scenario", "--spec", "{f}", "--out", "{tmp}/x"], "[]", "list indices"),
+        pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"], _panel_a_with("weight", math.nan),
+                     "component weight", id="nan-weight"),
+        pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"], _panel_a_with("radius", math.inf),
+                     "component radius", id="infinite-radius"),
     ])
     def test_bad_json_file_exits_2(self, tmp_path, argv, text, key, capsys):
         spec = tmp_path / "f.json"

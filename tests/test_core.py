@@ -126,15 +126,17 @@ class TestCsvRoundTrip:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x_0,y\n1.0,0\noops,1\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_csv(path)
+        for load, text in ((load_csv, "x_0,y\n1.0,0\noops,1\n"), (load_csv_unlabeled, "x_0\n1.0\noops\n")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="line 3"):
+                load(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
-        path.write_text("a,b,y\n1,2,0\n")
-        with pytest.raises(ValueError, match="line 1"):
-            load_csv(path)
+        for load, text in ((load_csv, "a,b,y\n1,2,0\n"), (load_csv_unlabeled, "a,b\n1,2\n")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="line 1"):
+                load(path)
 
     def test_unlabeled_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -29,6 +29,15 @@ def q_of(*pts):
 
 
 class TestApply:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_linear_equals_vector_product_bitwise(self, data):
+        dim, out_dim = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 4))
+        row = st.lists(st.floats(-1.0, 1.0), min_size=out_dim, max_size=out_dim)
+        fmap = linear_map(data.draw(st.lists(row, min_size=dim, max_size=dim)))
+        x = np.asarray(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)))
+        assert apply(fmap, x).tobytes() == (x @ fmap.matrix).tobytes()
+
     def test_coordinate_subset(self):
         m = coordinate_map(2, [1])
         assert apply(m, (3.0, 7.0)).tolist() == [7.0]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from sirmnn.core import SeedSpec
 from sirmnn.estimators import empirical_risk
+from sirmnn.featuremaps import FeatureFamily, cor_family, linear_map
 from sirmnn.knn import KnnClassifier
 from sirmnn.scenarios import (
     CertBudget,
@@ -17,7 +20,6 @@ from sirmnn.scenarios import (
     bayes_risk,
     certify,
     figure1_panel,
-    in_support,
     perturb_source,
     sample,
     sample_unlabeled,
@@ -88,8 +90,21 @@ class TestBayesOracles:
 
     def test_outside_support_nearest_component(self):
         scene = two_ball_scene()
-        assert not in_support(scene, (0.0, 10.0))
         assert bayes_label(scene, (0.0, 10.0)) == 0
+
+    def test_exact_ties_go_to_smallest_component(self):
+        # Components 1 and 2 overlap; (0, 0) is exactly 1 from the surfaces
+        # of components 0 and 1, and (2.25, 0) lies inside components 1 and 2.
+        comps = (
+            SceneComponent((-2.0, 0.0), 1.0, 1, 0.5),
+            SceneComponent((2.0, 0.0), 1.0, 0, 0.25),
+            SceneComponent((2.5, 0.0), 1.0, 2, 0.25),
+        )
+        scene = Scene(2, comps, 3)
+        pts = np.asarray([[0.0, 0.0], [2.25, 0.0], [3.4, 0.0], [-2.0, 5.0]])
+        singles = [bayes_label(scene, p) for p in pts]
+        assert singles == [1, 0, 2, 1]
+        assert singles == bayes_labels_batch(scene, pts).tolist()
 
     def test_monte_carlo_consistency(self):
         scene = two_ball_scene(flip=0.15)
@@ -124,6 +139,11 @@ class TestSceneValidation:
     def test_flip_below_half(self):
         with pytest.raises(ValueError):
             SceneComponent((0.0,), 1.0, 0, 1.0, flip_prob=0.5)
+
+    @pytest.mark.parametrize("lambda_", [2.0, math.nan, math.inf])
+    def test_cert_budget_contraction_constant(self, lambda_):
+        with pytest.raises(ValueError, match="contraction constant"):
+            CertBudget(lambda_=lambda_)
 
     def test_json_round_trip(self, tmp_path):
         scene = two_ball_scene(flip=0.05)
@@ -276,8 +296,32 @@ class TestPerturbSource:
     def test_no_escape_errors(self):
         # identical source and target: no map lets the target escape
         scene = two_ball_scene()
-        from sirmnn.featuremaps import cor_family
-
         prob = ShiftProblem(scene, scene, cor_family(2, 1))
         with pytest.raises(ValueError, match="within the induced source support"):
             perturb_source(prob, 0, 1, eps_budget=0.08, seed=SeedSpec(27))
+
+    @pytest.mark.parametrize("family, maps, seed, digests", [
+        (cor_family(3, 2), (2, 0), 5, (
+            "a647e213e21d9e3fbdb0ac41a8552b4fc4d7d9f37e54802a255e4c4c1e26c1b5",
+            "053059b19561b64f21980c7293a29d1675e442e1939b677a3a6c614f713c067a",
+        )),
+        (FeatureFamily((
+            linear_map([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]),
+            linear_map([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.25]]),
+        )), (0, 1), 6, (
+            "2930bae15826fc9c9a7d43dd4bcc66e278a5bc459d0fa241c5a0d54dce5543b8",
+            "358505f064c739e74752169ad98477742002063a9aaab8b96bf40ec74e1c2433",
+        )),
+    ], ids=["cor", "rank-deficient-linear"])
+    def test_d3_outputs_pinned(self, family, maps, seed, digests):
+        # D=3 two-ball shift whose first ball placements are rejected, so
+        # the placement search, the null and row directions of each map and
+        # every distance check shape the output, pinned here bit for bit.
+        def ball(center, label):
+            return SceneComponent(center, 0.4, label, 0.5)
+
+        source = Scene(3, (ball((0.0, 1.0, 0.0), 0), ball((0.0, -1.0, 0.0), 1)), 2)
+        target = Scene(3, (ball((1.0, 1.0, 0.0), 0), ball((1.0, -1.0, 0.0), 1)), 2)
+        pair = perturb_source(ShiftProblem(source, target, family), *maps, eps_budget=0.08, seed=SeedSpec(seed))
+        got = tuple(hashlib.sha256(json.dumps(p.to_json(), sort_keys=True).encode()).hexdigest() for p in pair)
+        assert got == digests
