@@ -350,9 +350,12 @@ def shattering_search(
     n = len(quadruples)
     checked = 0
 
-    def dichotomies_of(cols: list[int]) -> set[tuple[int, ...]]:
-        sub = bits[:, cols]
-        return {tuple(int(v) for v in row) for row in sub}
+    def dichotomy_count(cols: list[int]) -> int:
+        # Each map's bits over cols packed into one integer code. len(cols) <=
+        # target_size and 2**target_size <= len(family), so len(cols) < 63 and
+        # the codes fit in int64.
+        codes = bits[:, cols].astype(np.int64) @ (1 << np.arange(len(cols)))
+        return np.unique(codes).size
 
     stack: list[int] = []
 
@@ -364,8 +367,7 @@ def shattering_search(
                 stack.pop()
                 return "budget"
             checked += 1
-            dichos = dichotomies_of(stack)
-            if len(dichos) == 2 ** len(stack):
+            if dichotomy_count(stack) == 2 ** len(stack):
                 if len(stack) == target_size:
                     return tuple(stack)
                 result = extend(j + 1)
@@ -381,5 +383,5 @@ def shattering_search(
     if result is None:
         return ShatteringVerdict("none", target_size, candidates_checked=checked)
     witness = result
-    dichos = tuple(sorted(dichotomies_of(list(witness))))
+    dichos = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
     return ShatteringVerdict("found", target_size, witness=witness, dichotomies=dichos, candidates_checked=checked)

@@ -24,6 +24,7 @@ from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_sch
 from .distance import min_sq, sq_blocks
 from .estimators import beta_estimate
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
+from .knn import _neighbor_indices
 
 __all__ = [
     "SceneComponent",
@@ -346,13 +347,22 @@ class CertBudget:
             raise ValueError("budget sample sizes too small")
         if not 0 <= self.preserve_fail <= self.preserve_pass:
             raise ValueError("need 0 <= preserve_fail <= preserve_pass")
+        if not math.isfinite(self.contract_tol) or self.contract_tol < 0:
+            raise ValueError("contract_tol must be finite and >= 0")
         if not math.isfinite(self.lambda_) or self.lambda_ <= 2:
             raise ValueError("contraction constant must be finite and exceed 2")
 
 
 @dataclass(frozen=True, eq=False)
 class CertReport:
-    """Monte-Carlo verdicts for one map on one shift problem."""
+    """Monte-Carlo verdicts for one map on one shift problem.
+
+    worst_unify_violation is (d, source index, target index) for the sampled
+    cross pair of different Bayes labels closer than rho_hat / 2 with the
+    smallest map-space distance d; ties go to the smaller target index, then
+    to the smaller source index. None when no such pair was seen or unify was
+    not checked.
+    """
 
     map_index: int
     preserves: str
@@ -449,27 +459,41 @@ def certify(
     else:
         contracts = "inconclusive"
 
-    unifies = "pass"
-    worst = None
-    limit = rho_hat / 2.0
-    for lo, sq in sq_blocks(zt, zs):
-        close = sq < limit * limit
-        if not np.any(close):
-            continue
-        ti, si = np.nonzero(close)
-        disagree = tgt_bayes[lo + ti] != src_bayes[si]
-        if np.any(disagree):
-            unifies = "fail"
-            bad = np.nonzero(disagree)[0]
-            d = np.sqrt(sq[ti[bad], si[bad]])
-            w = int(bad[d.argmin()])
-            cand = (float(d.min()), int(si[w]), int(lo + ti[w]))
-            if worst is None or cand[0] < worst[0]:
-                worst = cand
+    worst = _worst_unify_violation(zt, tgt_bayes, zs, src_bayes, rho_hat / 2.0)
+    unifies = "pass" if worst is None else "fail"
     return CertReport(
         map_index, preserves, contracts, unifies, rho_hat, beta_hat, worst,
         budget.n_source, budget.n_target,
     )
+
+
+def _worst_unify_violation(
+    zt: np.ndarray, tgt_bayes: np.ndarray, zs: np.ndarray, src_bayes: np.ndarray, limit: float
+) -> tuple[float, int, int] | None:
+    """(d, source index, target index) of the closest cross pair of different
+    labels with squared distance below limit * limit, or None.
+
+    Each target's nearest source of another label gives its smallest pair
+    distance; the worst pair has the smallest d, then the smallest target
+    index, then the smallest source index. Distances are compared after the
+    square root, because neighbouring squared distances can share one.
+    """
+    near = np.full(zt.shape[0], np.inf)
+    for lab in np.unique(tgt_bayes):
+        rows = tgt_bayes == lab
+        other = zs[src_bayes != lab]
+        if other.shape[0]:
+            near[rows] = min_sq(zt[rows], other)
+    bad = np.flatnonzero(near < limit * limit)
+    if bad.size == 0:
+        return None
+    d = np.sqrt(near[bad])
+    w = d.argmin()  # the first minimum, at the smallest target index
+    t, dmin = int(bad[w]), d[w]
+    srcs = np.flatnonzero(src_bayes != tgt_bayes[t])  # the subset near[t] came from
+    _, sq = next(sq_blocks(zt[t : t + 1], zs[srcs]))
+    pairs = (sq[0] < limit * limit) & (np.sqrt(sq[0]) == dmin)
+    return float(dmin), int(srcs[np.flatnonzero(pairs)[0]]), t
 
 
 def induced_source_labeler(
@@ -477,7 +501,8 @@ def induced_source_labeler(
 ):
     """Labeling rule: nearest dense-source-sample image, labeled by the source oracle.
 
-    Returns a function mapping an (n, D) point array to label ids.
+    Returns a function mapping an (n, D) point array to label ids. Among
+    equally near sample images, the one drawn first wins.
     """
     fmap = problem.family[map_index]
     pts, _ = _sample_points(problem.source, dense_n, seed.substream(21))
@@ -486,10 +511,7 @@ def induced_source_labeler(
 
     def labeler(points: np.ndarray) -> np.ndarray:
         z = apply_batch(fmap, np.asarray(points, dtype=np.float64))
-        out = np.empty(z.shape[0], dtype=np.int64)
-        for lo, sq in sq_blocks(z, support_z):
-            out[lo : lo + sq.shape[0]] = support_labels[sq.argmin(axis=1)]
-        return out
+        return support_labels[_neighbor_indices(support_z, z, 1)[:, 0]]
 
     return labeler
 

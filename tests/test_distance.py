@@ -5,20 +5,33 @@ and to a few rows per chunk (leaving a ragged last chunk), and requires
 exactly the output of the default budget. The k-NN search is also compared
 with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
 floats a few ulps apart, which exercise the window search of 1-D images.
+The nearest-reference routes (the sorted 1-D `min_sq`, the k = 1 search
+behind the induced labeler and the certify unify scan) are compared with
+full scans on the same kinds of lattices.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sirmnn import distance
 from sirmnn.core import SeedSpec, UnlabeledSet
 from sirmnn.estimators import beta_estimate
-from sirmnn.knn import _neighbor_indices
-from sirmnn.scenarios import _sample_points, certify, figure1_panel, induced_source_labeler, perturb_source
+from sirmnn.featuremaps import apply_batch
+from sirmnn.knn import _neighbor_indices, _top_k
+from sirmnn.scenarios import (
+    _sample_points,
+    _worst_unify_violation,
+    bayes_labels_batch,
+    certify,
+    figure1_panel,
+    induced_source_labeler,
+    perturb_source,
+)
 
 # 7 rows per chunk against 2000 two-dimensional references.
 RAGGED = 7 * 2000 * 2
@@ -149,7 +162,12 @@ def test_induced_source_labeler(monkeypatch):
     prob = figure1_panel("c")
     probe, _ = _sample_points(prob.target, 500, SeedSpec(4))
     labeler = induced_source_labeler(prob, 0, 1500, SeedSpec(3))
-    _assert_chunk_independent(monkeypatch, lambda: labeler(probe).tolist())
+    got = _assert_chunk_independent(monkeypatch, lambda: labeler(probe).tolist())
+    # The labeler's support sample, labeled by the first nearest image.
+    pts, _ = _sample_points(prob.source, 1500, SeedSpec(3).substream(21))
+    fmap = prob.family[0]
+    sq = np.vstack([sq for _, sq in distance.sq_blocks(apply_batch(fmap, probe), apply_batch(fmap, pts))])
+    assert got == bayes_labels_batch(prob.source, pts)[sq.argmin(axis=1)].tolist()
 
 
 def test_perturb_source(monkeypatch):
@@ -160,3 +178,137 @@ def test_perturb_source(monkeypatch):
         return json.dumps([p1.to_json(), p2.to_json()], sort_keys=True)
 
     _assert_chunk_independent(monkeypatch, run)
+
+
+@st.composite
+def nearest_case(draw, dims=(1,), kinds=("lattice", "ulps", "mirror", "far")):
+    """References and queries of one dimension from `dims`, heavy in ties.
+
+    Integer lattices, or floats a few ulps apart around a centre (optionally
+    with half the references mirrored across query 0), with queries past
+    both ends of the references and sometimes a single reference. The "far"
+    kind puts two integer lattices 2**27 + 8 apart along the first axis:
+    squared distances lie in [2**54, 2**55), where doubles are 4 apart, and
+    in 2-D neighbouring ones often share one square root. Returns (refs,
+    queries, rows per forced chunk).
+    """
+    dim = draw(st.sampled_from(dims))
+    n = draw(st.one_of(st.just(1), st.integers(1, 60), st.integers(1000, 3000)))
+    rows = draw(st.integers(2, 5))
+    m = rows * draw(st.integers(0, 8)) + draw(st.integers(1, rows - 1))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        side = draw(st.integers(1, 6))
+        refs = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+        queries = rng.integers(-2, side + 2, size=(m, dim)).astype(np.float64)
+    elif kind == "far":
+        refs = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+        refs[:, 0] += 2.0**27 + 8
+        queries = rng.integers(-3, 4, size=(m, dim)).astype(np.float64)
+    else:
+        centre = draw(st.sampled_from(FLOAT_CENTRES))
+        steps = draw(st.integers(1, 40))
+        ref_steps = rng.integers(-steps, steps + 1, size=(n, dim))
+        query_steps = rng.integers(-steps - 3, steps + 4, size=(m, dim))
+        if kind == "mirror":
+            half = rng.random(n) < 0.5
+            ref_steps[half] = 2 * query_steps[0] - ref_steps[half]
+        ulp = np.spacing(centre)
+        refs, queries = centre + ulp * ref_steps, centre + ulp * query_steps
+    return refs, queries, rows
+
+
+def _full_sq(queries, refs):
+    return np.vstack([sq for _, sq in distance.sq_blocks(queries, refs)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=nearest_case())
+def test_min_sq_1d_matches_full_scan_on_ulp_lattices(case):
+    refs, queries, _ = case
+    got = distance.min_sq(queries, refs)
+    assert got.tobytes() == _full_sq(queries, refs).min(axis=1).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=nearest_case(dims=(1, 2)), forced=st.booleans())
+def test_k1_search_matches_first_argmin(case, forced):
+    refs, queries, rows = case
+    sq = _full_sq(queries, refs)
+    want = np.argsort(sq, axis=1, kind="stable")[:, 0]
+    assert np.array_equal(_top_k(sq, 1)[:, 0], want)
+    budget = rows * refs.size if forced else distance.CHUNK_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        assert np.array_equal(_neighbor_indices(refs, queries, 1)[:, 0], want)
+
+
+def _unify_pair_scan(zt, tgt_bayes, zs, src_bayes, limit):
+    """The certify unify scan before the per-target route: every close pair."""
+    worst = None
+    for lo, sq in distance.sq_blocks(zt, zs):
+        close = sq < limit * limit
+        if not np.any(close):
+            continue
+        ti, si = np.nonzero(close)
+        disagree = tgt_bayes[lo + ti] != src_bayes[si]
+        if np.any(disagree):
+            bad = np.nonzero(disagree)[0]
+            d = np.sqrt(sq[ti[bad], si[bad]])
+            w = int(bad[d.argmin()])
+            cand = (float(d.min()), int(si[w]), int(lo + ti[w]))
+            if worst is None or cand[0] < worst[0]:
+                worst = cand
+    return worst
+
+
+@st.composite
+def unify_case(draw):
+    """A nearest_case with Bayes labels and a limit at or just above a pair
+    distance, at the least one, or out of reach of every pair."""
+    zs, zt, rows = draw(st.one_of(nearest_case(dims=(1, 2)), nearest_case(dims=(2,), kinds=("far",))))
+    labels = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src_bayes = rng.integers(0, labels, size=zs.shape[0])
+    tgt_bayes = rng.integers(0, labels, size=zt.shape[0])
+    pick = draw(st.sampled_from(["pair", "above_pair", "least", "inf", "zero"]))
+    if pick in ("pair", "above_pair"):
+        d = math.sqrt(_full_sq(zt, zs)[rng.integers(zt.shape[0]), rng.integers(zs.shape[0])])
+        limit = d if pick == "pair" else math.nextafter(d, math.inf)
+    elif pick == "least":
+        limit = math.sqrt(_full_sq(zt, zs).min())
+    else:
+        limit = {"inf": math.inf, "zero": 0.0}[pick]
+    return zt, tgt_bayes, zs, src_bayes, limit, rows
+
+
+# x * x rounds to P, u * u + v * v rounds to the double below P, and both
+# square roots round to x: from the origin, (x, 0) and (u, v) lie at one d.
+X, U, V = 1.0348529815673828, 1.0348520278930664, 0.0014049286493760958
+
+
+def _shared_root_case(zt, zs, limit):
+    """Targets of label 0 and sources of label 1, for an explicit example."""
+    sq = _full_sq(np.zeros((1, 2)), np.asarray([[X, 0.0], [U, V]]))[0]
+    assert sq[1] == np.nextafter(sq[0], 0) and np.sqrt(sq[0]) == np.sqrt(sq[1]) == X
+    zt, zs = np.asarray(zt), np.asarray(zs)
+    return zt, np.zeros(len(zt), dtype=np.int64), zs, np.ones(len(zs), dtype=np.int64), limit, 2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=unify_case(), forced=st.booleans())
+# Both sources at one d: the first wins, though its square is the larger.
+@example(case=_shared_root_case([[0.0, 0.0]], [[X, 0.0], [U, V]], 2.0), forced=False)
+# limit * limit rounds to P, so only the source below it is close.
+@example(case=_shared_root_case([[0.0, 0.0]], [[X, 0.0], [U, V]], X), forced=False)
+# Both targets at one d: the first wins, though its square is the larger.
+@example(case=_shared_root_case([[0.0, 0.0], [X - U, -V]], [[X, 0.0]], 2.0), forced=False)
+def test_worst_unify_violation_matches_pair_scan(case, forced):
+    zt, tgt_bayes, zs, src_bayes, limit, rows = case
+    want = _unify_pair_scan(zt, tgt_bayes, zs, src_bayes, limit)
+    budget = rows * zs.size if forced else distance.CHUNK_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        assert repr(_worst_unify_violation(zt, tgt_bayes, zs, src_bayes, limit)) == repr(want)
+

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirmnn import featuremaps
 from sirmnn.core import SeedSpec
 from sirmnn.featuremaps import (
     ComparerQuery,
@@ -208,6 +209,34 @@ def random_quads(dim, count, seed):
     return [q_of(*rng.random((4, dim))) for _ in range(count)]
 
 
+def _tuple_set_search(bits, target_size, max_candidates):
+    """shattering_search's depth-first prune, counting dichotomies as row-tuple sets."""
+    n, checked, stack = bits.shape[1], 0, []
+
+    def extend(start):
+        nonlocal checked
+        for j in range(start, n - (target_size - len(stack) - 1)):
+            stack.append(j)
+            if checked >= max_candidates:
+                stack.pop()
+                return "budget"
+            checked += 1
+            if len({tuple(int(v) for v in row) for row in bits[:, stack]}) == 2 ** len(stack):
+                if len(stack) == target_size:
+                    return tuple(stack)
+                result = extend(j + 1)
+                if result is not None:
+                    stack.pop()
+                    return result
+            stack.pop()
+        return None
+
+    result = extend(0)
+    if result == "budget":
+        return "inconclusive", None, checked
+    return ("none", None, checked) if result is None else ("found", result, checked)
+
+
 class TestShatteringSearch:
     def test_two_map_family_never_shatters_pairs(self):
         fam = FeatureFamily((coordinate_map(3, [0]), coordinate_map(3, [1])))
@@ -255,6 +284,27 @@ class TestShatteringSearch:
             for size in range(bound + 1, min(bound + 3, len(quads))):
                 verdict = shattering_search(fam, quads, size)
                 assert verdict.status == "none"
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_packed_codes_match_tuple_set_search(self, data):
+        # Random comparer bits stand in for a family's, so that prefixes of
+        # every size shatter or fail; the search must match one that counts
+        # each prefix's dichotomies as a set of row tuples.
+        size = data.draw(st.integers(1, 5))
+        maps = data.draw(st.integers(2**size, 64))
+        quads = random_quads(2, data.draw(st.integers(size, 14)), 0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = (rng.random((maps, len(quads))) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
+        budget = data.draw(st.sampled_from([3, 50, 200_000]))
+        fam = proj_family_random(2, 1, maps, SeedSpec(0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(featuremaps, "_comparer_bits", lambda family, quadruples: bits)
+            verdict = shattering_search(fam, quads, size, max_candidates=budget)
+        status, witness, checked = _tuple_set_search(bits, size, budget)
+        assert (verdict.status, verdict.witness, verdict.candidates_checked) == (status, witness, checked)
+        if witness is not None:
+            assert verdict.dichotomies == tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
 
     def test_never_exceeds_bound_for_proj(self):
         fam = proj_family_random(2, 1, 10, SeedSpec(5))

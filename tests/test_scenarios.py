@@ -1,6 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +149,11 @@ class TestSceneValidation:
     def test_cert_budget_contraction_constant(self, lambda_):
         with pytest.raises(ValueError, match="contraction constant"):
             CertBudget(lambda_=lambda_)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_cert_budget_contract_tol(self, tol):
+        with pytest.raises(ValueError, match="contract_tol"):
+            CertBudget(contract_tol=tol)
 
     def test_json_round_trip(self, tmp_path):
         scene = two_ball_scene(flip=0.05)
@@ -325,3 +335,28 @@ class TestPerturbSource:
         pair = perturb_source(ShiftProblem(source, target, family), *maps, eps_budget=0.08, seed=SeedSpec(seed))
         got = tuple(hashlib.sha256(json.dumps(p.to_json(), sort_keys=True).encode()).hexdigest() for p in pair)
         assert got == digests
+
+
+def test_analysis_tools_load_numpy_only():
+    """numpy is the only runtime dependency: the analysis tools pull in no scipy, sklearn or numba."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import sirmnn
+        from sirmnn import CertBudget, ComparerQuery, SeedSpec, figure1_panel
+
+        budget = CertBudget(200, 200)
+        sirmnn.certify(figure1_panel("a"), 1, budget, SeedSpec(1))
+        sirmnn.twin_targets(figure1_panel("c"), 0, 1, dense_n=500, seed=SeedSpec(2), budget=budget)
+        sirmnn.perturb_source(figure1_panel("b"), 1, 0, 0.08, seed=SeedSpec(18))
+        rng = np.random.default_rng(3)
+        quads = [ComparerQuery(*(rng.random(2) for _ in range(4))) for _ in range(4)]
+        sirmnn.shattering_search(sirmnn.cor_family(2, 1), quads, 1)
+        print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sklearn", "numba")))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
