@@ -149,10 +149,11 @@ def comparer(fmap: FeatureMap, q: ComparerQuery) -> int:
     """1 iff the (x1, x2) pair is at least as far apart as (x3, x4) under the map.
 
     Evaluated on squared distances to keep the bit exact for rational inputs.
+    Each point is mapped as its own one-row batch, as :func:`apply` does; the
+    query's points are already validated, so they skip :func:`as_point`.
     """
-    a = _sq_dist(apply(fmap, q.x1), apply(fmap, q.x2))
-    b = _sq_dist(apply(fmap, q.x3), apply(fmap, q.x4))
-    return 1 if a >= b else 0
+    z1, z2, z3, z4 = (apply_batch(fmap, x.reshape(1, -1))[0] for x in (q.x1, q.x2, q.x3, q.x4))
+    return 1 if _sq_dist(z1, z2) >= _sq_dist(z3, z4) else 0
 
 
 def comparer_linear_form(fmap: FeatureMap, q: ComparerQuery) -> int:
@@ -355,7 +356,7 @@ def shattering_search(
         # target_size and 2**target_size <= len(family), so len(cols) < 63 and
         # the codes fit in int64.
         codes = bits[:, cols].astype(np.int64) @ (1 << np.arange(len(cols)))
-        return np.unique(codes).size
+        return len(set(codes.tolist()))
 
     stack: list[int] = []
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema, write_json
-from .distance import min_sq, sq_blocks
-from .estimators import beta_estimate
+from .distance import min_sq, min_sq_by_label, sq_blocks
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
 from .knn import _neighbor_indices
 
@@ -439,7 +438,15 @@ def certify(
     else:
         preserves = "inconclusive"
 
-    beta_hat = beta_estimate(fmap, UnlabeledSet(src_pts), UnlabeledSet(tgt_pts))
+    # One target x source scan. When preserve passes, unify needs each
+    # target's nearest source of every label; otherwise the nearest of all
+    # will do. Either way the column minimum is the nearest source, so
+    # beta_hat has the bits of beta_estimate.
+    if preserves == "pass":
+        near = min_sq_by_label(zt, zs, src_bayes, max(problem.source.label_count, problem.target.label_count))
+    else:
+        near = min_sq(zt, zs)[None, :]
+    beta_hat = float(np.sqrt(near.min(axis=0).max()))
 
     if preserves != "pass":
         # Both downstream properties are defined relative to the induced
@@ -459,7 +466,7 @@ def certify(
     else:
         contracts = "inconclusive"
 
-    worst = _worst_unify_violation(zt, tgt_bayes, zs, src_bayes, rho_hat / 2.0)
+    worst = _worst_unify_violation(near, zt, tgt_bayes, zs, src_bayes, rho_hat / 2.0)
     unifies = "pass" if worst is None else "fail"
     return CertReport(
         map_index, preserves, contracts, unifies, rho_hat, beta_hat, worst,
@@ -468,22 +475,26 @@ def certify(
 
 
 def _worst_unify_violation(
-    zt: np.ndarray, tgt_bayes: np.ndarray, zs: np.ndarray, src_bayes: np.ndarray, limit: float
+    near_by_label: np.ndarray,
+    zt: np.ndarray,
+    tgt_bayes: np.ndarray,
+    zs: np.ndarray,
+    src_bayes: np.ndarray,
+    limit: float,
 ) -> tuple[float, int, int] | None:
     """(d, source index, target index) of the closest cross pair of different
     labels with squared distance below limit * limit, or None.
 
-    Each target's nearest source of another label gives its smallest pair
-    distance; the worst pair has the smallest d, then the smallest target
-    index, then the smallest source index. Distances are compared after the
-    square root, because neighbouring squared distances can share one.
+    `near_by_label` is the :func:`min_sq_by_label` table of zt against zs,
+    with a row for every target label. Each target's nearest source of
+    another label gives its smallest pair distance; the worst pair has the
+    smallest d, then the smallest target index, then the smallest source
+    index. Distances are compared after the square root, because
+    neighbouring squared distances can share one.
     """
-    near = np.full(zt.shape[0], np.inf)
-    for lab in np.unique(tgt_bayes):
-        rows = tgt_bayes == lab
-        other = zs[src_bayes != lab]
-        if other.shape[0]:
-            near[rows] = min_sq(zt[rows], other)
+    other = near_by_label.copy()
+    other[tgt_bayes, np.arange(zt.shape[0])] = np.inf  # drop each target's own label
+    near = other.min(axis=0)
     bad = np.flatnonzero(near < limit * limit)
     if bad.size == 0:
         return None

@@ -5,11 +5,14 @@ and to a few rows per chunk (leaving a ragged last chunk), and requires
 exactly the output of the default budget. The k-NN search is also compared
 with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
 floats a few ulps apart, which exercise the window search of 1-D images.
-The nearest-reference routes (the sorted 1-D `min_sq`, the k = 1 search
-behind the induced labeler and the certify unify scan) are compared with
-full scans on the same kinds of lattices.
+The nearest-reference routes (the sorted 1-D `min_sq`, the per-label
+`min_sq_by_label` table behind certify, the k = 1 search behind the induced
+labeler and the certify unify scan) are compared with full scans on the same
+kinds of lattices. The kernel's bits are checked against a coordinate-order
+plane sum for C-ordered, Fortran-ordered and strided inputs.
 """
 
+import itertools
 import json
 import math
 
@@ -21,9 +24,13 @@ from hypothesis import strategies as st
 from sirmnn import distance
 from sirmnn.core import SeedSpec, UnlabeledSet
 from sirmnn.estimators import beta_estimate
-from sirmnn.featuremaps import apply_batch
+from sirmnn.featuremaps import apply_batch, cor_family
 from sirmnn.knn import _neighbor_indices, _top_k
 from sirmnn.scenarios import (
+    CertBudget,
+    Scene,
+    SceneComponent,
+    ShiftProblem,
     _sample_points,
     _worst_unify_violation,
     bayes_labels_batch,
@@ -144,6 +151,36 @@ def test_neighbor_indices_match_stable_sort_oracle_on_tie_heavy_lattices(case, f
         assert np.array_equal(_neighbor_indices(train, queries, k), oracle)
 
 
+def _plane_sum(queries, refs):
+    """Squared distances summed one coordinate plane at a time, in coordinate order."""
+    sq = (queries[:, None, 0] - refs[None, :, 0]) ** 2
+    for j in range(1, queries.shape[1]):
+        sq = sq + (queries[:, None, j] - refs[None, :, j]) ** 2
+    return sq
+
+
+def _layouts(points):
+    """C-ordered, Fortran-ordered and strided-view copies of the same points."""
+    strided = np.zeros((2 * points.shape[0], 3 * points.shape[1]))[::2, ::3]
+    strided[...] = points
+    return {"C": np.ascontiguousarray(points), "F": np.asfortranarray(points), "strided": strided}
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_kernel_bits_do_not_depend_on_layout(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        refs, queries = rng.standard_normal((300, dim)), rng.standard_normal((120, dim))
+        want = _plane_sum(queries, refs)
+        beta = float(np.sqrt(want.min(axis=1).max()))
+        nearest = np.argsort(want, axis=1, kind="stable")[:, :5]
+        for (rl, r), (ql, q) in itertools.product(_layouts(refs).items(), _layouts(queries).items()):
+            assert _full_sq(q, r).tobytes() == want.tobytes(), (rl, ql)
+            assert distance.min_sq(q, r).tobytes() == want.min(axis=1).tobytes(), (rl, ql)
+            assert np.array_equal(_neighbor_indices(r, q, 5), nearest), (rl, ql)
+            assert repr(beta_estimate(None, UnlabeledSet(r), UnlabeledSet(q))) == repr(beta), (rl, ql)
+
+
 def test_beta_estimate(lattice, monkeypatch):
     train, queries = lattice
     _assert_chunk_independent(
@@ -244,6 +281,62 @@ def test_k1_search_matches_first_argmin(case, forced):
         assert np.array_equal(_neighbor_indices(refs, queries, 1)[:, 0], want)
 
 
+@st.composite
+def labeled_case(draw):
+    """A nearest_case of dim 1 or 2 with reference labels drawn from a random
+    non-empty subset of the table's labels, so some labels have no references."""
+    refs, queries, rows = draw(st.one_of(nearest_case(dims=(1, 2)), nearest_case(dims=(2,), kinds=("far",))))
+    label_count = draw(st.integers(1, 4))
+    used = draw(st.lists(st.integers(0, label_count - 1), min_size=1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return refs, queries, rng.choice(used, size=refs.shape[0]), label_count, rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=labeled_case(), forced=st.booleans())
+def test_min_sq_by_label_matches_per_label_full_scan(case, forced):
+    refs, queries, labels, label_count, rows = case
+    full = _plane_sum(queries, refs)
+    want = np.full((label_count, queries.shape[0]), np.inf)
+    for lab in range(label_count):
+        if np.any(labels == lab):
+            want[lab] = full[:, labels == lab].min(axis=1)
+    budget = rows * refs.size if forced else distance.CHUNK_ENTRIES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        got = distance.min_sq_by_label(queries, refs, labels, label_count)
+    assert got.tobytes() == want.tobytes()
+    assert got.min(axis=0).tobytes() == full.min(axis=1).tobytes()
+
+
+def _wide_problem():
+    """A D=8 two-ball shift whose ground-truth map, coordinates (2, 5), has 2-D images."""
+
+    def scene(shift):
+        centers = [[shift, shift, 0.0, shift, shift, y, shift, shift] for y in (1.0, -1.0)]
+        return Scene(8, tuple(SceneComponent(c, 0.4, lab, 0.5, 0.05) for lab, c in enumerate(centers)), 2)
+
+    return ShiftProblem(scene(0.0), scene(6.0), cor_family(8, 2), ground_truth=(15,))
+
+
+# The D=8 ground truth (2-D images) and panel c's map 0 (1-D) pass preserve,
+# so certify reads beta_hat from the per-label table; D=8 map 0 and panel a's
+# map 0 fail it, so certify takes the plain nearest-source minimum.
+@pytest.mark.parametrize(
+    "problem,map_index,preserves", [("wide", 15, "pass"), ("wide", 0, "fail"), ("c", 0, "pass"), ("a", 0, "fail")]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certify_beta_hat_equals_beta_estimate(problem, map_index, preserves, seed):
+    prob = _wide_problem() if problem == "wide" else figure1_panel(problem)
+    budget = CertBudget(1500, 1500)
+    report = certify(prob, map_index, budget, SeedSpec(seed))
+    src, _ = _sample_points(prob.source, budget.n_source, SeedSpec(seed).substream(11))
+    tgt, _ = _sample_points(prob.target, budget.n_target, SeedSpec(seed).substream(12))
+    want = beta_estimate(prob.family[map_index], UnlabeledSet(src), UnlabeledSet(tgt))
+    assert repr(report.beta_hat) == repr(want)
+    assert report.preserves == preserves
+
+
 def _unify_pair_scan(zt, tgt_bayes, zs, src_bayes, limit):
     """The certify unify scan before the per-target route: every close pair."""
     worst = None
@@ -296,6 +389,25 @@ def _shared_root_case(zt, zs, limit):
     return zt, np.zeros(len(zt), dtype=np.int64), zs, np.ones(len(zs), dtype=np.int64), limit, 2
 
 
+def test_certify_unify_with_a_target_label_the_source_lacks():
+    """The target's label 2 has no source: its table row stays +inf, and the
+    unify verdict is the pair scan's."""
+    prob = figure1_panel("c")
+    comps = (SceneComponent((-1.0, 1.0), 0.4, 2, 0.5), SceneComponent((1.0, -1.0), 0.4, 0, 0.5))
+    prob = ShiftProblem(prob.source, Scene(2, comps, 3), prob.family)
+    budget, seed = CertBudget(500, 500), SeedSpec(5)
+    report = certify(prob, 0, budget, seed)
+    src, _ = _sample_points(prob.source, budget.n_source, seed.substream(11))
+    tgt, _ = _sample_points(prob.target, budget.n_target, seed.substream(12))
+    fmap = prob.family[0]
+    want = _unify_pair_scan(
+        apply_batch(fmap, tgt), bayes_labels_batch(prob.target, tgt),
+        apply_batch(fmap, src), bayes_labels_batch(prob.source, src), report.rho_hat / 2,
+    )
+    assert report.preserves == "pass" and want is not None
+    assert report.worst_unify_violation == want
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(case=unify_case(), forced=st.booleans())
 # Both sources at one d: the first wins, though its square is the larger.
@@ -310,5 +422,6 @@ def test_worst_unify_violation_matches_pair_scan(case, forced):
     budget = rows * zs.size if forced else distance.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance, "CHUNK_ENTRIES", budget)
-        assert repr(_worst_unify_violation(zt, tgt_bayes, zs, src_bayes, limit)) == repr(want)
+        near = distance.min_sq_by_label(zt, zs, src_bayes, 1 + max(src_bayes.max(), tgt_bayes.max()))
+        assert repr(_worst_unify_violation(near, zt, tgt_bayes, zs, src_bayes, limit)) == repr(want)
 
