@@ -13,7 +13,6 @@ from .core import (
     LabeledSet,
     SeedSpec,
     UnlabeledSet,
-    euclidean_distance,
     load_csv,
     load_csv_unlabeled,
     save_csv,

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from statistics import median, quantiles
@@ -240,7 +241,7 @@ def _sweep_trial(problem: ShiftProblem, regime: str, cfg: LearnerConfig, n: int,
             "status": "ok",
         }
     except Exception as exc:  # partial failure: mark the record, keep sweeping
-        _log(f"trial ({cell}, {trial}): {type(exc).__name__}: {exc}")
+        _log(f"trial ({cell}, {trial}): {type(exc).__name__}: {exc}\n{traceback.format_exc().rstrip()}")
         record = {
             "learner": regime, "n": n, "m": m, "trial": trial,
             "chosen_map": -1, "fallback": 0, "source_risk": "", "target_risk": "",
@@ -446,7 +447,7 @@ def main(argv=None) -> int:
         _log(f"error: {exc}")
         return 2
     except Exception as exc:  # internal failure
-        _log(f"internal error: {type(exc).__name__}: {exc}")
+        _log(f"internal error: {type(exc).__name__}: {exc}\n{traceback.format_exc().rstrip()}")
         return 1
 
 

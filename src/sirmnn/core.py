@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "LabeledSet",
     "UnlabeledSet",
     "as_point",
-    "euclidean_distance",
     "split_fractions",
     "load_csv",
     "save_csv",
@@ -157,16 +155,6 @@ class UnlabeledSet:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
-
-
-def euclidean_distance(a, b) -> float:
-    """l2 distance between two points of equal dimension."""
-    a = as_point(a)
-    b = as_point(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(math.sqrt(float(np.dot(d, d))))
 
 
 def split_fractions(s: LabeledSet, fractions) -> list[LabeledSet]:

@@ -1,10 +1,10 @@
-"""Exact squared distances from query rows to a reference set, in chunks.
+"""Exact squared distances: query rows against a reference set in chunks, or paired rows.
 
-Squared distances are computed by direct coordinate differences (no
-norm-expansion shortcut), so that symmetric inputs tie exactly. Each entry
-is a plane sum in coordinate order, (q0 - r0)**2 + (q1 - r1)**2 + ...,
-added left to right, so its bits depend only on the two points: not on the
-memory layout of the inputs, the other references or the chunk. Queries
+Every squared distance in the package is one plane sum of direct coordinate
+differences (no norm-expansion shortcut, so symmetric inputs tie exactly),
+(q0 - r0)**2 + (q1 - r1)**2 + ..., added left to right. Its bits depend
+only on the two points: not on the memory layout, the other points, the
+chunk, or whether :func:`sq_blocks` or :func:`pair_sq` computed it. Queries
 are evaluated in row chunks: a chunk of r rows against n references of
 dimension dim is summed from (r, n) coordinate planes, and r is the
 largest count with r * n * dim <= CHUNK_ENTRIES, but at least 1. Every
@@ -35,16 +35,24 @@ def sq_blocks(queries: np.ndarray, refs: np.ndarray) -> Iterator[tuple[int, np.n
     qt = np.ascontiguousarray(queries.T)
     rt = np.ascontiguousarray(refs.T)
     for lo in range(0, queries.shape[0], chunk):
-        q = qt[:, lo : lo + chunk]
-        sq = np.subtract.outer(q[0], rt[0])
-        sq *= sq
-        plane = None  # one scratch plane, reused for every further coordinate
-        for j in range(1, rt.shape[0]):
-            plane = np.subtract.outer(q[j], rt[j], out=plane)
-            plane *= plane
-            sq += plane
-        del plane  # free the scratch plane while the caller reduces sq
-        yield lo, sq
+        yield lo, _plane_sum(qt[:, lo : lo + chunk, None], rt[:, None, :])
+
+
+def pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of a to the same row of b (equal shapes)."""
+    return _plane_sum(a.T, b.T)
+
+
+def _plane_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a[0] - b[0])**2 + (a[1] - b[1])**2 + ... over coordinate planes that broadcast."""
+    sq = a[0] - b[0]
+    sq *= sq
+    plane = None  # one scratch plane, reused for every further coordinate
+    for j in range(1, a.shape[0]):
+        plane = np.subtract(a[j], b[j], out=plane)
+        plane *= plane
+        sq += plane
+    return sq
 
 
 def min_sq(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:

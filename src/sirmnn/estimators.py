@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet, UnlabeledSet
-from .distance import min_sq
+from .distance import min_sq, pair_sq
 from .featuremaps import FeatureMap
 from .knn import KnnClassifier, _images, predict_batch
 
@@ -52,8 +52,7 @@ def source_margin(classifier: KnnClassifier, s_source: LabeledSet) -> float:
     pairs = s_source.slice(0, 2 * half)
     preds = predict_batch(classifier, pairs.unlabeled())
     z = _images(classifier.fmap, pairs.points)
-    diff = z[:half] - z[half:]
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    d = np.sqrt(pair_sq(z[:half], z[half:]))
     disagree = preds[:half] != preds[half:]
     if not np.any(disagree):
         return math.inf
@@ -75,9 +74,7 @@ def target_margin(fmap: FeatureMap | None, s_margin_t: LabeledSet, u: UnlabeledS
         raise ValueError("target_margin needs at least one target point and one source point")
     src = _images(fmap, s_margin_t.points[: l * l])
     tgt = _images(fmap, u.points[:l])
-    blocks = src.reshape(l, l, src.shape[1])
-    diff = blocks - tgt[:, None, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = pair_sq(np.repeat(tgt, l, axis=0), src).reshape(l, l)
     return float(np.sqrt(sq.min(axis=1)).max())
 
 

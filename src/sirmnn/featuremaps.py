@@ -1,9 +1,10 @@
 """Feature maps, finite families, distance comparers, and shattering search.
 
 Supported map kinds: the identity, projection onto a coordinate subset,
-and general linear maps x -> x @ A with A a (D, K) matrix whose entries lie
-in [-1, 1]. Distance comparisons are evaluated on squared distances so the
-resulting bits are exact for rational inputs.
+and linear maps x -> x[0] A[0] + x[1] A[1] + ..., summed in coordinate order
+so a point's image has the same bits in any batch, with A a (D, K) matrix
+whose entries lie in [-1, 1]. Comparers compare the squared distances the
+k-NN search ranks the same pairs by, from :func:`distance.pair_sq`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SCHEMA_VERSION, SeedSpec, _check_schema, as_point, write_json
+from .distance import pair_sq
 
 __all__ = [
     "FeatureMap",
@@ -107,7 +109,7 @@ def apply(fmap: FeatureMap, x) -> np.ndarray:
 
 
 def apply_batch(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:
-    """Image of an (n, D) array of points; returns (n, K)."""
+    """Image of an (n, D) array of points; returns (n, K), each row's bits independent of the batch."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != fmap.input_dim:
         raise ValueError(f"dimension mismatch: points have {points.shape[1:]}, map expects {fmap.input_dim}")
@@ -115,12 +117,10 @@ def apply_batch(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:
         return points
     if fmap.kind == "coordinate_subset":
         return points[:, list(fmap.coords)]
-    return points @ fmap.matrix
-
-
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    return float(np.dot(d, d))
+    z = points[:, :1] * fmap.matrix[0]
+    for j in range(1, fmap.input_dim):
+        z += points[:, j : j + 1] * fmap.matrix[j]
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +148,21 @@ class ComparerQuery:
 def comparer(fmap: FeatureMap, q: ComparerQuery) -> int:
     """1 iff the (x1, x2) pair is at least as far apart as (x3, x4) under the map.
 
-    Evaluated on squared distances to keep the bit exact for rational inputs.
-    Each point is mapped as its own one-row batch, as :func:`apply` does; the
-    query's points are already validated, so they skip :func:`as_point`.
+    Compares the images' squared distances, each with the bits
+    :func:`distance.sq_blocks` gives the same pair.
     """
-    z1, z2, z3, z4 = (apply_batch(fmap, x.reshape(1, -1))[0] for x in (q.x1, q.x2, q.x3, q.x4))
-    return 1 if _sq_dist(z1, z2) >= _sq_dist(z3, z4) else 0
+    return int(_comparer_bits((fmap,), [q])[0, 0])
+
+
+def _comparer_bits(maps, quadruples) -> np.ndarray:
+    """(len(maps), len(quadruples)) :func:`comparer` bits, from one image of
+    all the quadruples' points per map."""
+    pts = np.stack([(q.x1, q.x2, q.x3, q.x4) for q in quadruples])
+    bits = np.empty((len(maps), len(quadruples)), dtype=np.uint8)
+    for i, fmap in enumerate(maps):
+        z = apply_batch(fmap, pts.reshape(-1, pts.shape[2])).reshape(len(quadruples), 4, -1)
+        bits[i] = pair_sq(z[:, 0], z[:, 1]) >= pair_sq(z[:, 2], z[:, 3])
+    return bits
 
 
 def comparer_linear_form(fmap: FeatureMap, q: ComparerQuery) -> int:
@@ -317,14 +326,6 @@ class ShatteringVerdict:
     candidates_checked: int = 0
 
 
-def _comparer_bits(family: FeatureFamily, quadruples) -> np.ndarray:
-    bits = np.empty((len(family), len(quadruples)), dtype=np.uint8)
-    for i, fmap in enumerate(family.maps):
-        for j, q in enumerate(quadruples):
-            bits[i, j] = comparer(fmap, q)
-    return bits
-
-
 def shattering_search(
     family: FeatureFamily,
     quadruples,
@@ -342,12 +343,14 @@ def shattering_search(
     quadruples = list(quadruples)
     if not 1 <= target_size <= len(quadruples):
         raise ValueError("target_size must be in [1, len(quadruples)]")
+    if any(q.dim != family.input_dim for q in quadruples):
+        raise ValueError(f"quadruple dims {sorted({q.dim for q in quadruples})}, family dim {family.input_dim}")
     needed = 2**target_size
     if len(family) < needed:
         # A family can realize at most |family| dichotomies: definitive no.
         return ShatteringVerdict("none", target_size, candidates_checked=0)
 
-    bits = _comparer_bits(family, quadruples)
+    bits = _comparer_bits(family.maps, quadruples)
     n = len(quadruples)
     checked = 0
 

@@ -207,7 +207,9 @@ def bayes_label(scene: Scene, x) -> int:
 def bayes_labels_batch(scene: Scene, points: np.ndarray) -> np.ndarray:
     """:func:`bayes_label` of each row of an (n, D) point array."""
     pts = np.asarray(points, dtype=np.float64)
-    dists = np.linalg.norm(pts[:, None, :] - scene.centers()[None, :, :], axis=2)
+    if pts.shape[1] != scene.dim:
+        raise ValueError(f"points have dim {pts.shape[1]}, the scene has dim {scene.dim}")
+    dists = _distances(pts, scene.centers())
     radii = np.asarray([c.radius for c in scene.components])
     surface = np.maximum(dists - radii[None, :], 0.0)
     comp = surface.argmin(axis=1)

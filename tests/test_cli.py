@@ -211,6 +211,8 @@ class TestSweep:
         for cell in (0, 1):
             for trial in (0, 1):
                 assert f"trial ({cell}, {trial}): RuntimeError: map scoring exploded" in err
+        assert err.count("Traceback (most recent call last)") == 4
+        assert err.count(", in boom\n") == 4
         rows = [
             f"source-only,{n},0,{trial},-1,0,,,error:RuntimeError"
             for n in (100, 200) for trial in (0, 1)
@@ -369,7 +371,10 @@ class TestExitCodes:
             "--source", str(scenario_dir / "source.csv"), "--out", str(tmp_path / "o.json"),
         ])
         assert rc == 1
-        assert "internal error: ValueError: library bug" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: ValueError: library bug" in err
+        assert "Traceback (most recent call last)" in err
+        assert ", in bad\n" in err
 
     @pytest.mark.parametrize("flags", [
         ["--flip-prob", "0.7"],

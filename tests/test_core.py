@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirmnn import distance
 from sirmnn.core import (
     LabeledSet,
     SeedSpec,
-    euclidean_distance,
     load_csv,
     load_csv_unlabeled,
     save_csv,
@@ -25,28 +25,22 @@ def make_set(points, labels, label_count=None):
 
 
 class TestEuclideanDistance:
+    """The Euclidean distance of paired rows is sqrt(distance.pair_sq)."""
+
     def test_identity(self):
-        assert euclidean_distance((0, 0), (0, 0)) == 0.0
+        assert distance.pair_sq(np.array([[1.5, -2.0]]), np.array([[1.5, -2.0]])).tolist() == [0.0]
 
     def test_3_4_5(self):
-        assert euclidean_distance((0, 0), (3, 4)) == 5.0
+        assert distance.pair_sq(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])).tolist() == [25.0]
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = rng.normal(size=7)
-            b = rng.normal(size=7)
+        a, b = rng.normal(size=(20, 7)), rng.normal(size=(20, 7))
+        got = np.sqrt(distance.pair_sq(a, b))
+        for i in range(20):
             # independent oracle: explicit coordinate loop with fsum
-            oracle = math.sqrt(math.fsum((ai - bi) ** 2 for ai, bi in zip(a, b)))
-            assert euclidean_distance(a, b) == pytest.approx(oracle, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            euclidean_distance((0, 0), (0, 0, 0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            euclidean_distance((0, math.nan), (0, 0))
+            oracle = math.sqrt(math.fsum((ai - bi) ** 2 for ai, bi in zip(a[i], b[i])))
+            assert got[i] == pytest.approx(oracle, abs=1e-12)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
@@ -55,11 +49,14 @@ class TestEuclideanDistance:
     )
     @settings(max_examples=200)
     def test_metric_axioms(self, a, b, c):
-        dab = euclidean_distance(a, b)
-        dba = euclidean_distance(b, a)
+        def dist(p, q):
+            return float(np.sqrt(distance.pair_sq(np.array([p]), np.array([q]))[0]))
+
+        dab = dist(a, b)
+        dba = dist(b, a)
         assert dab == dba  # symmetry is exact
-        dac = euclidean_distance(a, c)
-        dcb = euclidean_distance(c, b)
+        dac = dist(a, c)
+        dcb = dist(c, b)
         assert dab <= dac + dcb + 1e-9
 
 

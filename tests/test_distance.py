@@ -9,7 +9,8 @@ The nearest-reference routes (the sorted 1-D `min_sq`, the per-label
 `min_sq_by_label` table behind certify, the k = 1 search behind the induced
 labeler and the certify unify scan) are compared with full scans on the same
 kinds of lattices. The kernel's bits are checked against a coordinate-order
-plane sum for C-ordered, Fortran-ordered and strided inputs.
+plane sum for C-ordered, Fortran-ordered and strided inputs, as are the
+paired distances of `pair_sq` and the margins built on them.
 """
 
 import itertools
@@ -22,10 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sirmnn import distance
-from sirmnn.core import SeedSpec, UnlabeledSet
-from sirmnn.estimators import beta_estimate
+from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
+from sirmnn.estimators import beta_estimate, source_margin, target_margin
 from sirmnn.featuremaps import apply_batch, cor_family
-from sirmnn.knn import _neighbor_indices, _top_k
+from sirmnn.knn import KnnClassifier, _neighbor_indices, _top_k, predict_batch
 from sirmnn.scenarios import (
     CertBudget,
     Scene,
@@ -166,6 +167,11 @@ def _layouts(points):
     return {"C": np.ascontiguousarray(points), "F": np.asfortranarray(points), "strided": strided}
 
 
+def _paired_plane_sum(a, b):
+    """Squared distance of row i of a to row i of b, one coordinate-order plane sum per pair."""
+    return np.array([_plane_sum(a[i : i + 1], b[i : i + 1])[0, 0] for i in range(a.shape[0])])
+
+
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_kernel_bits_do_not_depend_on_layout(dim):
     rng = np.random.default_rng(dim)
@@ -174,11 +180,25 @@ def test_kernel_bits_do_not_depend_on_layout(dim):
         want = _plane_sum(queries, refs)
         beta = float(np.sqrt(want.min(axis=1).max()))
         nearest = np.argsort(want, axis=1, kind="stable")[:, :5]
+        paired = _paired_plane_sum(queries, refs[:120])
+        # source_margin pairs query i with query 60 + i, and reports the nearest
+        # pair the classifier splits; target_margin of one target point and one
+        # source point is the distance of that pair.
+        clf = KnnClassifier(LabeledSet(refs, rng.integers(0, 2, 300), 2), 1)
+        preds = predict_batch(clf, UnlabeledSet(queries))
+        halves = np.sqrt(_paired_plane_sum(queries[:60], queries[60:]))
+        s_margin = repr(float(halves[preds[:60] != preds[60:]].min()))
+        t_margins = [repr(float(d)) for d in np.sqrt(paired[:20])]
         for (rl, r), (ql, q) in itertools.product(_layouts(refs).items(), _layouts(queries).items()):
             assert _full_sq(q, r).tobytes() == want.tobytes(), (rl, ql)
             assert distance.min_sq(q, r).tobytes() == want.min(axis=1).tobytes(), (rl, ql)
+            assert distance.pair_sq(q, r[:120]).tobytes() == paired.tobytes(), (rl, ql)
             assert np.array_equal(_neighbor_indices(r, q, 5), nearest), (rl, ql)
             assert repr(beta_estimate(None, UnlabeledSet(r), UnlabeledSet(q))) == repr(beta), (rl, ql)
+            assert repr(source_margin(clf, LabeledSet(q, np.zeros(120, dtype=np.int64), 1))) == s_margin, ql
+            for i in range(20):
+                s_t = LabeledSet(r[i : i + 1], [0], 1)
+                assert repr(target_margin(None, s_t, UnlabeledSet(q[i : i + 1]))) == t_margins[i], (rl, ql, i)
 
 
 def test_beta_estimate(lattice, monkeypatch):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sirmnn import featuremaps
+from sirmnn import distance, featuremaps
 from sirmnn.core import SeedSpec
 from sirmnn.featuremaps import (
     ComparerQuery,
     FeatureFamily,
     apply,
+    apply_batch,
     comparer,
     comparer_linear_form,
     coordinate_map,
@@ -37,7 +38,23 @@ class TestApply:
         row = st.lists(st.floats(-1.0, 1.0), min_size=out_dim, max_size=out_dim)
         fmap = linear_map(data.draw(st.lists(row, min_size=dim, max_size=dim)))
         x = np.asarray(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)))
-        assert apply(fmap, x).tobytes() == (x @ fmap.matrix).tobytes()
+        # Oracle: x[0] * A[0, k] + x[1] * A[1, k] + ..., added in coordinate order.
+        want = []
+        for k in range(out_dim):
+            z = x[0] * fmap.matrix[0, k]
+            for j in range(1, dim):
+                z = z + x[j] * fmap.matrix[j, k]
+            want.append(z)
+        assert apply(fmap, x).tobytes() == np.asarray(want).tobytes()
+        # The row has the same bits inside any batch.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        batch = rng.uniform(-1e6, 1e6, size=(data.draw(st.integers(1, 40)), dim))
+        at = data.draw(st.integers(0, batch.shape[0] - 1))
+        batch[at] = x
+        assert apply_batch(fmap, batch)[at].tobytes() == np.asarray(want).tobytes()
+
+    def test_linear_zero_times_negative_zero(self):
+        assert apply(linear_map([[-0.0]]), [0.0]).tobytes() == np.array([-0.0]).tobytes()
 
     def test_coordinate_subset(self):
         m = coordinate_map(2, [1])
@@ -107,6 +124,40 @@ class TestComparer:
             noisy = pts.copy()
             noisy[:, 1] += rng.normal(size=4) * 100
             assert comparer(phi, q_of(*noisy)) == bit
+
+
+def _lattice_quads(count, seed):
+    """Quadruples on a 0.1-scaled integer lattice of R^4, where distances tie often."""
+    rng = np.random.default_rng(seed)
+    return [q_of(*p) for p in 0.1 * rng.integers(-6, 7, size=(count, 4, 4))]
+
+
+def _blocks_sq(a, b):
+    """Squared distance of row i of a to row i of b, read off sq_blocks' diagonal."""
+    return np.concatenate([np.diagonal(next(distance.sq_blocks(a[i : i + 50], b[i : i + 50]))[1])
+                           for i in range(0, a.shape[0], 50)])
+
+
+class TestComparerBits:
+    @pytest.mark.parametrize("family", [cor_family(4, 2), proj_family_random(4, 2, 6, SeedSpec(0))],
+                             ids=["cor42", "proj42"])
+    def test_bits_equal_sq_blocks_comparison(self, family):
+        quads = _lattice_quads(20_000, 1)
+        pts = [np.stack([getattr(q, name) for q in quads]) for name in ("x1", "x2", "x3", "x4")]
+        got = featuremaps._comparer_bits(family.maps, quads)
+        for i, fmap in enumerate(family.maps):
+            z1, z2, z3, z4 = (apply_batch(fmap, p) for p in pts)
+            assert np.array_equal(got[i], _blocks_sq(z1, z2) >= _blocks_sq(z3, z4)), i
+
+    @pytest.mark.parametrize("family", [cor_family(4, 2), proj_family_random(4, 2, 64, SeedSpec(3))],
+                             ids=["cor42", "proj42"])
+    def test_batch_equals_per_quadruple_loop(self, family):
+        quads = _lattice_quads(40, 2) + random_quads(4, 40, 2)
+        loop = np.empty((len(family), len(quads)), dtype=np.uint8)
+        for i, fmap in enumerate(family.maps):
+            for j, q in enumerate(quads):
+                loop[i, j] = comparer(fmap, q)
+        assert np.array_equal(featuremaps._comparer_bits(family.maps, quads), loop)
 
 
 class TestComparerLinearForm:
@@ -305,6 +356,11 @@ class TestShatteringSearch:
         assert (verdict.status, verdict.witness, verdict.candidates_checked) == (status, witness, checked)
         if witness is not None:
             assert verdict.dichotomies == tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
+
+    def test_quadruple_dims_checked_up_front(self):
+        quads = random_quads(3, 4, 0) + random_quads(2, 1, 0)
+        with pytest.raises(ValueError, match=r"quadruple dims \[2, 3\], family dim 3"):
+            shattering_search(cor_family(3, 1), quads, 1)
 
     def test_never_exceeds_bound_for_proj(self):
         fam = proj_family_random(2, 1, 10, SeedSpec(5))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
-from sirmnn.featuremaps import identity_map, linear_map
-from sirmnn.knn import KnnClassifier, KSchedule, _vote, k_nearest, k_of_n, predict, predict_batch
+from sirmnn.featuremaps import apply_batch, identity_map, linear_map, proj_family_random
+from sirmnn.knn import KnnClassifier, KSchedule, _neighbor_indices, _vote, k_nearest, k_of_n, predict, predict_batch
 from sirmnn.scenarios import PanelGeometry, figure1_panel, sample
 
 from test_core import make_set
@@ -143,6 +143,20 @@ class TestPredictBatch:
         batch = predict_batch(clf, UnlabeledSet(queries))
         seq = [predict(clf, q) for q in queries]
         assert batch.tolist() == seq
+
+    def test_single_queries_match_batch_under_linear_maps(self):
+        # A linear image has the same bits alone as in a batch, so single
+        # queries rank and vote exactly as their rows of a batch do, ties included.
+        rng = np.random.default_rng(12)
+        train = make_set(0.1 * rng.integers(-5, 6, size=(300, 3)), rng.integers(0, 3, 300), 3)
+        queries = 0.1 * rng.integers(-5, 6, size=(150, 3))
+        for fmap in proj_family_random(3, 2, 4, SeedSpec(1)).maps:
+            clf = KnnClassifier(train, 6, fmap)
+            batch = predict_batch(clf, UnlabeledSet(queries))
+            idx = _neighbor_indices(clf._train_z, apply_batch(fmap, queries), 6)
+            for i, q in enumerate(queries):
+                assert predict(clf, q) == batch[i]
+                assert k_nearest(train, q, 6, fmap) == idx[i].tolist()
 
 
 class TestClassifierProperties:

@@ -97,6 +97,15 @@ class TestBayesOracles:
         scene = two_ball_scene()
         assert bayes_label(scene, (0.0, 10.0)) == 0
 
+    @pytest.mark.parametrize("points", [[[0.5]], [[0.5, 0.5, 0.5]]], ids=["1-D", "3-D"])
+    def test_point_dimension_must_match_scene(self, points):
+        scene = figure1_panel("a").source
+        dim = len(points[0])
+        with pytest.raises(ValueError, match=f"points have dim {dim}, the scene has dim 2"):
+            bayes_labels_batch(scene, np.asarray(points))
+        with pytest.raises(ValueError, match=f"points have dim {dim}, the scene has dim 2"):
+            bayes_label(scene, points[0])
+
     def test_exact_ties_go_to_smallest_component(self):
         # Components 1 and 2 overlap; (0, 0) is exactly 1 from the surfaces
         # of components 0 and 1, and (2.25, 0) lies inside components 1 and 2.
