@@ -99,6 +99,17 @@ def _check_points(points: np.ndarray) -> np.ndarray:
     return points
 
 
+def _read_only(arr: np.ndarray, given) -> np.ndarray:
+    """arr with writing turned off. A writeable arr that is the caller's own
+    array `given`, or a view into other memory, is copied first, so the
+    caller's array stays writeable and cannot change the set. Read-only
+    inputs, such as slices of another set, stay views."""
+    if arr.flags.writeable and (arr is given or arr.base is not None):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
     """Ordered labeled sample. Row order is the tie-breaking order.
@@ -123,10 +134,8 @@ class LabeledSet:
             raise ValueError("label_count must be >= 1")
         if labels.size and (labels.min() < 0 or labels.max() >= self.label_count):
             raise ValueError("labels must lie in [0, label_count)")
-        points.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", _read_only(points, self.points))
+        object.__setattr__(self, "labels", _read_only(labels, self.labels))
         object.__setattr__(self, "dim", int(points.shape[1]))
 
     def __len__(self) -> int:
@@ -149,8 +158,7 @@ class UnlabeledSet:
 
     def __post_init__(self):
         points = _check_points(self.points)
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _read_only(points, self.points))
         object.__setattr__(self, "dim", int(points.shape[1]))
 
     def __len__(self) -> int:

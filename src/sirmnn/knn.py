@@ -6,15 +6,14 @@ votes break ties toward the smallest label id. Both rules are fixed ahead
 of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
-Search is exact. The full scan keeps each query row's k nearest without
-sorting all n distances: a partition finds the k-th smallest squared
-distance, every training point at or below it is a candidate (so a tie run
-crossing position k stays whole), and one stable sort of the candidates by
-squared distance, in index order, ranks them. 1-D images are first ranked
-inside a window of the 2k sorted training values around each query, and
-only the rows the window cannot settle are scanned in full. Either route
-equals the first k columns of a full stable sort of the squared distances,
-bit for bit.
+Search is exact: every route finds the k neighbors a full stable sort of the
+squared distances puts first, in that order when ranked. The full scan keeps
+each row's k nearest by a partition to the k-th smallest squared distance and
+a stable sort of the candidates at or below it, so tie runs crossing position
+k stay whole. On 1-D images the k nearest form one run of sorted training
+positions, found by a binary search in about log2 k steps; a vote is one
+difference of prefix label counts, and a boundary tie with another value
+outside the run sends the row to the full scan.
 """
 
 from __future__ import annotations
@@ -90,69 +89,61 @@ def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
 def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.ndarray:
     """(m, k) neighbor index matrix ranked by (squared distance, index).
 
-    1-D images go through :func:`_window_search` first. The rows it does not
-    settle, and every row of higher-dimensional images, are scanned against
-    all n training images in chunks, each reduced by :func:`_top_k`, an
-    exact selection equal to the first k columns of a stable row sort.
+    1-D images with k = 1 take their neighbor from :func:`_sorted_runs`. Its
+    flagged rows, and every other search, scan all n training images in
+    chunks reduced by :func:`_top_k`, equal to a stable row sort's first k.
     """
-    out = np.empty((query_z.shape[0], k), dtype=np.int64)
-    if train_z.shape[1] == 1:
-        rows = _window_search(train_z[:, 0], query_z[:, 0], k, out)
+    if train_z.shape[1] == 1 and k == 1:
+        order, rorder, start, rescan = _sorted_runs(train_z[:, 0], query_z[:, 0], 1)
+        left = train_z[order[start], 0] < query_z[:, 0]
+        out, rows = np.where(left, rorder[start], order[start])[:, None], np.flatnonzero(rescan)
     else:
-        rows = np.arange(query_z.shape[0])
-    for lo, sq in distance.sq_blocks(query_z[rows], train_z):
-        out[rows[lo : lo + sq.shape[0]]] = _top_k(sq, k)
+        out, rows = np.empty((query_z.shape[0], k), dtype=np.int64), np.arange(query_z.shape[0])
+    if rows.size:
+        for lo, sq in distance.sq_blocks(query_z[rows], train_z):
+            out[rows[lo : lo + sq.shape[0]]] = _top_k(sq, k)
     return out
 
 
-def _window_search(x: np.ndarray, q: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """Rank 1-D neighbors inside a window of the sorted training values.
+def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Each query's k nearest as one run of sorted training positions.
 
-    Writes out[i] for every query q[i] and returns the rows whose window
-    result may differ from the full ranking; the caller rescans those.
+    Returns (order, rorder, start, rescan): order stable-sorts x, rorder
+    reverses the index order of each value's copies. Unless rescan[i], the k
+    nearest of q[i] sit at sorted positions [start[i], start[i] + k), read
+    through rorder below q[i] and order above, so split copies are the earliest.
 
-    The training values are stable-sorted once, so equal values keep index
-    order. Each query takes the w = min(n, 2k) consecutive sorted values
-    starting k places before its insertion point (clipped to the ends), and
-    its squared distances d * d, d = q - x, are the bits the full scan
-    computes. A stable sort of each window row ranks them. Rounded
-    subtraction is monotone in x and squaring is monotone in |d|, so along
-    the sorted order the squared distance never rises and then never falls
-    (the images are finite, so no NaN arises). A row is settled when
-
-    - the sorted value just outside either end of its window (a +-inf
-      sentinel past the ends of the array) is farther than the k-th ranked
-      window value, so every value outside the window is farther still; and
-    - every run of equal distances among its k ranked ones, and the run of
-      all window distances equal to the k-th, comes from one repeated
-      training value. Copies of one value sit at consecutive sorted
-      positions in index order, which the stable window sort keeps. Any
-      other tie (a point mirrored across the query, or a rounding tie) may
-      need index order across values, so the row is rescanned.
+    Along the sorted values d * d (the full scan's bits; rounding is monotone)
+    never rises before the query's insertion point p and never falls after it.
+    A binary search over the starts s in [p - k, p], clipped to [0, n - k],
+    moves right while d * d at s exceeds that at s + k, so nothing outside the
+    run is nearer than its k-th, at K. A row is rescanned if a value at K lies
+    just outside and another value is at K at a run end or next to its copies.
     """
     n = x.size
-    w = min(n, 2 * k)
-    order = np.argsort(x, kind="stable")
-    xs = np.concatenate(([-np.inf], x[order], [np.inf]))
-    cols = np.arange(w + 2)  # the window and its two outside neighbors
-    rescan = np.zeros(q.size, dtype=bool)
-    chunk = max(1, distance.CHUNK_ENTRIES // (w + 2))
-    for lo in range(0, q.size, chunk):
-        qc = q[lo : lo + chunk, None]
-        start = np.clip(np.searchsorted(xs, qc) - 1 - k, 0, n - w)
-        vals = xs[start + cols]
-        d = qc - vals
-        sq = d * d
-        rank = np.argsort(sq[:, 1:-1], axis=1, kind="stable")[:, :k]
-        ranked = np.take_along_axis(sq, rank + 1, axis=1)
-        ranked_vals = np.take_along_axis(vals, rank + 1, axis=1)
-        kth, kth_val = ranked[:, -1:], ranked_vals[:, -1:]
-        spill = (sq[:, [0, -1]] <= kth).any(axis=1)
-        mixed = (ranked[:, 1:] == ranked[:, :-1]) & (ranked_vals[:, 1:] != ranked_vals[:, :-1])
-        mixed_kth = (sq == kth) & (vals != kth_val)
-        rescan[lo : lo + qc.shape[0]] = spill | mixed.any(axis=1) | mixed_kth.any(axis=1)
-        out[lo : lo + qc.shape[0]] = order[start + rank]
-    return np.flatnonzero(rescan)
+    u = np.argsort(x)  # the unstable sort is several times faster than a stable one
+    xs = np.append(x[u], np.inf)  # xs[-1] and xs[n] read a +inf sentinel
+    key = np.r_[0, np.cumsum(xs[1:n] != xs[: n - 1])] * n  # n * block number, a block per value
+    order, rorder = u[np.argsort(key + u)], u[np.argsort(key - u)]  # the keys are distinct
+
+    def sq(qv, at):
+        return (qv - xs[at]) ** 2
+
+    p = np.searchsorted(xs, q)
+    s, hi = np.clip(p - k, 0, n - k), np.minimum(p, n - k)
+    for _ in range(int(k).bit_length()):
+        mid = (s + hi) // 2
+        right = sq(q, mid) > sq(q, mid + k)
+        s, hi = np.where(right, mid + 1, s), np.where(right, hi, mid)
+    kth = np.maximum(sq(q, s), sq(q, s + k - 1))
+    rescan = (sq(q, s - 1) == kth) | (sq(q, s + k) == kth)
+    t = np.flatnonzero(rescan)
+    qt, st, kt = q[t], s[t], kth[t]
+    tied = np.where(sq(qt, st - 1) == kt, xs[st - 1], xs[st + k])
+    a, b = np.searchsorted(xs, tied), np.searchsorted(xs, tied, side="right")
+    ends = np.stack([a - 1, b, st - 1, st, st + k - 1, st + k])  # next to the copies [a, b), and run ends
+    rescan[t] = ((sq(qt, ends) == kt) & ((ends < a) | (ends >= b))).any(axis=0)
+    return order, rorder, s, rescan
 
 
 def _top_k(sq: np.ndarray, k: int) -> np.ndarray:
@@ -206,5 +197,15 @@ def predict_batch(c: KnnClassifier, queries: UnlabeledSet) -> np.ndarray:
     if len(queries) == 0:
         return np.empty(0, dtype=np.int64)
     query_z = _images(c.fmap, queries.points)
-    idx = _neighbor_indices(c._train_z, query_z, c.k)
-    return _vote(c.train.labels[idx], c.train.label_count).astype(np.int64)
+    labels, label_count = c.train.labels, c.train.label_count
+    if c._train_z.shape[1] > 1:
+        return _vote(labels[_neighbor_indices(c._train_z, query_z, c.k)], label_count).astype(np.int64)
+    order, rorder, start, rescan = _sorted_runs(c._train_z[:, 0], query_z[:, 0], c.k)
+    # Label counts of sorted positions [0, i); the orders agree at block ends, so a run's are one difference.
+    hot = np.vstack([np.zeros(label_count, dtype=bool), labels[:, None] == np.arange(label_count)])
+    pref, rpref = (np.cumsum(hot[np.r_[0, o + 1]], axis=0) for o in (order, rorder))
+    votes = (pref[start + c.k] - rpref[start]).argmax(axis=1)
+    rows = np.flatnonzero(rescan)
+    if rows.size:
+        votes[rows] = _vote(labels[_neighbor_indices(c._train_z, query_z[rows], c.k)], label_count)
+    return votes

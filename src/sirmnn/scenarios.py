@@ -209,6 +209,8 @@ def bayes_labels_batch(scene: Scene, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[1] != scene.dim:
         raise ValueError(f"points have dim {pts.shape[1]}, the scene has dim {scene.dim}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite")
     dists = _distances(pts, scene.centers())
     radii = np.asarray([c.radius for c in scene.components])
     surface = np.maximum(dists - radii[None, :], 0.0)

@@ -9,6 +9,7 @@ from sirmnn import distance
 from sirmnn.core import (
     LabeledSet,
     SeedSpec,
+    UnlabeledSet,
     load_csv,
     load_csv_unlabeled,
     save_csv,
@@ -179,3 +180,18 @@ class TestLabeledSetInvariants:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             make_set([[math.inf, 0.0]], [0])
+
+    @pytest.mark.parametrize("kind", ["labeled", "unlabeled"])
+    def test_caller_arrays_stay_writeable(self, kind):
+        points, labels = np.zeros((2, 2)), np.zeros(2, dtype=np.int64)
+        s = LabeledSet(points, labels, 2) if kind == "labeled" else UnlabeledSet(points)
+        points[0, 0], labels[0] = 1.0, 1
+        assert s.points[0, 0] == 0.0 and not s.points.flags.writeable
+        if kind == "labeled":
+            assert s.labels[0] == 0 and not s.labels.flags.writeable
+
+    def test_read_only_inputs_stay_views(self):
+        s = make_set(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+        part = split_fractions(s, [0.5, 0.5])[1]
+        assert np.shares_memory(part.points, s.points) and np.shares_memory(part.labels, s.labels)
+        assert np.shares_memory(s.unlabeled().points, s.points)

@@ -4,7 +4,8 @@ Each test reruns a caller with the chunk budget forced down to 1-row chunks
 and to a few rows per chunk (leaving a ragged last chunk), and requires
 exactly the output of the default budget. The k-NN search is also compared
 with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
-floats a few ulps apart, which exercise the window search of 1-D images.
+floats a few ulps apart, and so are the 1-D run votes, there and on blocks
+of copies that the run splits at either end.
 The nearest-reference routes (the sorted 1-D `min_sq`, the per-label
 `min_sq_by_label` table behind certify, the k = 1 search behind the induced
 labeler and the certify unify scan) are compared with full scans on the same
@@ -26,7 +27,7 @@ from sirmnn import distance
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.estimators import beta_estimate, source_margin, target_margin
 from sirmnn.featuremaps import apply_batch, cor_family
-from sirmnn.knn import KnnClassifier, _neighbor_indices, _top_k, predict_batch
+from sirmnn.knn import KnnClassifier, _neighbor_indices, _sorted_runs, _top_k, _vote, predict_batch
 from sirmnn.scenarios import (
     CertBudget,
     Scene,
@@ -101,7 +102,7 @@ def lattice_case(draw):
 
     Integer lattices of dim 1-3, or 1-D floats a few ulps apart around a
     centre (optionally with half the points mirrored across query 0), with
-    queries reaching past the training values so that windows clip at both
+    queries reaching past the training values so that runs clip at both
     ends. Returns (train, queries, k, rows per forced chunk). m leaves a
     ragged last chunk under the forced budget.
     """
@@ -150,6 +151,46 @@ def test_neighbor_indices_match_stable_sort_oracle_on_tie_heavy_lattices(case, f
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance, "CHUNK_ENTRIES", budget)
         assert np.array_equal(_neighbor_indices(train, queries, k), oracle)
+
+
+@st.composite
+def copies_case(draw):
+    """1-D blocks of copies of 0..B-1 in shuffled index order, queries on a
+    value or a quarter or a half off one, and k inside or at the end of the
+    tie run that holds a random rank of query 0, so that runs split blocks
+    at their left or right end. Returns (train, queries, k, None)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = draw(st.integers(1, 12))
+    train = np.repeat(np.arange(blocks, dtype=np.float64), rng.integers(1, 30, size=blocks))
+    rng.shuffle(train)
+    m = draw(st.integers(1, 40))
+    queries = rng.integers(-2, blocks + 2, size=m) + rng.choice([0.0, 0.25, 0.5, 0.75], size=m)
+    ranked = np.sort((queries[0] - train) ** 2)
+    pos = rng.integers(train.size)
+    start = np.searchsorted(ranked, ranked[pos], side="left")
+    k = draw(st.integers(int(start) + 1, int(np.searchsorted(ranked, ranked[pos], side="right"))))
+    return train[:, None], queries[:, None], k, None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    case=st.one_of(lattice_case().filter(lambda c: c[0].shape[1] == 1), copies_case()),
+    label_count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_vote_matches_stable_sort_oracle(case, label_count, seed):
+    """predict_batch on 1-D images votes the k nearest of a full stable sort,
+    and every run it does not rescan holds exactly those neighbors."""
+    train, queries, k, _ = case
+    labels = np.random.default_rng(seed).integers(0, label_count, size=train.shape[0])
+    oracle = np.argsort((queries - train.T) ** 2, axis=1, kind="stable")[:, :k]
+    clf = KnnClassifier(LabeledSet(train, labels, label_count), k)
+    assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], label_count))
+    order, rorder, start, rescan = _sorted_runs(train[:, 0], queries[:, 0], k)
+    split = np.searchsorted(train[order, 0], queries[:, 0])  # rorder reads the run's positions below it
+    for i in np.flatnonzero(~rescan):
+        run = np.r_[rorder[start[i] : split[i]], order[split[i] : start[i] + k]]
+        assert sorted(run) == sorted(oracle[i])
 
 
 def _plane_sum(queries, refs):

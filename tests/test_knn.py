@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sirmnn import distance
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.featuremaps import apply_batch, identity_map, linear_map, proj_family_random
 from sirmnn.knn import KnnClassifier, KSchedule, _neighbor_indices, _vote, k_nearest, k_of_n, predict, predict_batch
@@ -157,6 +158,39 @@ class TestPredictBatch:
             for i, q in enumerate(queries):
                 assert predict(clf, q) == batch[i]
                 assert k_nearest(train, q, 6, fmap) == idx[i].tolist()
+
+
+def _blocks_of_copies(rng, offset, m):
+    """Integers 0..39, 50 copies each in shuffled index order, and queries an
+    offset past a value in 1..37: with offset 0.25 the nearest block sits on
+    the left and the next on the right, with offset 0.75 the other way round."""
+    train = np.repeat(np.arange(40.0), 50)
+    rng.shuffle(train)
+    return train[:, None], (rng.integers(1, 38, size=m) + offset)[:, None]
+
+
+@pytest.mark.parametrize("case", ["gaussian", "split_at_right_end", "split_at_left_end"])
+@pytest.mark.parametrize("k", [1, 75])
+def test_1d_search_takes_the_run_route(monkeypatch, case, k):
+    """On 1-D images without mirrored or rounding ties, votes and k = 1
+    searches come from the sorted run alone: no row is scanned in full. k = 75
+    takes one whole block of 50 copies and splits the next one at the end the
+    case names; k = 1 splits the nearest block at its end nearest the query."""
+    rng = np.random.default_rng(0)
+    if case == "gaussian":
+        train, queries = rng.normal(size=(2000, 1)), rng.normal(size=(500, 1))
+    else:
+        train, queries = _blocks_of_copies(rng, 0.25 if case == "split_at_right_end" else 0.75, 500)
+    labels = rng.integers(0, 3, size=train.shape[0])
+    oracle = np.argsort((queries - train.T) ** 2, axis=1, kind="stable")[:, :k]
+    scans = []
+    sq_blocks = distance.sq_blocks
+    monkeypatch.setattr(distance, "sq_blocks", lambda *args: scans.append(args) or sq_blocks(*args))
+    clf = KnnClassifier(LabeledSet(train, labels, 3), k)
+    assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], 3))
+    if k == 1:
+        assert np.array_equal(_neighbor_indices(train, queries, 1), oracle)
+    assert scans == []
 
 
 class TestClassifierProperties:

@@ -97,6 +97,17 @@ class TestBayesOracles:
         scene = two_ball_scene()
         assert bayes_label(scene, (0.0, 10.0)) == 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_non_finite_points_rejected(self, value, coord):
+        scene = figure1_panel("a").source
+        point = [0.0, 0.0]
+        point[coord] = value
+        with pytest.raises(ValueError, match="finite"):
+            bayes_label(scene, point)
+        with pytest.raises(ValueError, match="finite"):
+            bayes_labels_batch(scene, np.asarray([[0.5, 0.5], point]))
+
     @pytest.mark.parametrize("points", [[[0.5]], [[0.5, 0.5, 0.5]]], ids=["1-D", "3-D"])
     def test_point_dimension_must_match_scene(self, points):
         scene = figure1_panel("a").source
