@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,35 +354,35 @@ def shattering_search(
     bits = _comparer_bits(family.maps, quadruples)
     n = len(quadruples)
     checked = 0
-
-    def dichotomy_count(cols: list[int]) -> int:
-        # Each map's bits over cols packed into one integer code. len(cols) <=
-        # target_size and 2**target_size <= len(family), so len(cols) < 63 and
-        # the codes fit in int64.
-        codes = bits[:, cols].astype(np.int64) @ (1 << np.arange(len(cols)))
-        return len(set(codes.tolist()))
-
+    # Column j as one integer with bit i set when map i's comparer bit is 1.
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    cols = [int.from_bytes(packed[:, j].tobytes(), "little") for j in range(n)]
     stack: list[int] = []
 
-    def extend(start: int) -> tuple[int, ...] | None | str:
+    def extend(start: int, groups: list[int]) -> tuple[int, ...] | None | str:
+        # `groups` holds the maps of each dichotomy of the shattered stack, as
+        # bitmasks. Adding column j shatters iff j splits every group in two.
+        # The search is pure Python: yield the interpreter lock once per node,
+        # or another thread's next numpy call waits out a switch interval.
         nonlocal checked
+        time.sleep(0)
         for j in range(start, n - (target_size - len(stack) - 1)):
-            stack.append(j)
             if checked >= max_candidates:
-                stack.pop()
                 return "budget"
             checked += 1
-            if dichotomy_count(stack) == 2 ** len(stack):
-                if len(stack) == target_size:
-                    return tuple(stack)
-                result = extend(j + 1)
-                if result is not None:
-                    stack.pop()
-                    return result
+            split = _split_all(groups, cols[j])
+            if split is None:
+                continue
+            stack.append(j)
+            if len(stack) == target_size:
+                return tuple(stack)
+            result = extend(j + 1, split)
             stack.pop()
+            if result is not None:
+                return result
         return None
 
-    result = extend(0)
+    result = extend(0, [(1 << len(family)) - 1])
     if result == "budget":
         return ShatteringVerdict("inconclusive", target_size, candidates_checked=checked)
     if result is None:
@@ -389,3 +390,15 @@ def shattering_search(
     witness = result
     dichos = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
     return ShatteringVerdict("found", target_size, witness=witness, dichotomies=dichos, candidates_checked=checked)
+
+
+def _split_all(groups: list[int], col: int) -> list[int] | None:
+    """Each group's maps with bit 1 in `col` and with bit 0, or None as soon
+    as one group lies wholly on one side."""
+    out = []
+    for g in groups:
+        ones = g & col
+        if ones == 0 or ones == g:
+            return None
+        out += (ones, g ^ ones)
+    return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema, write_json
-from .distance import min_sq, min_sq_by_label, sq_blocks
+from .distance import min_pair_sq, min_sq, min_sq_by_label, sq_blocks
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
 from .knn import _neighbor_indices
 
@@ -156,7 +156,7 @@ def sample(scene: Scene, n: int, seed: SeedSpec) -> LabeledSet:
         raise ValueError("n must be >= 0")
     pts, comp_idx = _sample_points(scene, n, seed)
     labels = _sample_labels(scene, comp_idx, seed)
-    return LabeledSet(pts, labels, scene.label_count)
+    return LabeledSet(_frozen(pts), _frozen(labels), scene.label_count)
 
 
 def sample_unlabeled(scene: Scene, n: int, seed: SeedSpec) -> UnlabeledSet:
@@ -164,7 +164,14 @@ def sample_unlabeled(scene: Scene, n: int, seed: SeedSpec) -> UnlabeledSet:
     if n < 0:
         raise ValueError("n must be >= 0")
     pts, _ = _sample_points(scene, n, seed)
-    return UnlabeledSet(pts)
+    return UnlabeledSet(_frozen(pts))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only. Nothing else holds a freshly sampled array, so the
+    point sets keep it without the copy they make of a writeable input."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _sample_points(scene: Scene, n: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +412,7 @@ def _min_cross_label_distance(z: np.ndarray, labels: np.ndarray) -> float:
         za, zb = z[mask], z[labels > lab]
         if za.size == 0 or zb.size == 0:
             continue
-        best = min(best, float(min_sq(za, zb).min()))
+        best = min(best, min_pair_sq(za, zb))
     return math.sqrt(best) if best < math.inf else math.inf
 
 
@@ -442,7 +449,7 @@ def certify(
     else:
         preserves = "inconclusive"
 
-    # One target x source scan. When preserve passes, unify needs each
+    # One nearest-source search. When preserve passes, unify needs each
     # target's nearest source of every label; otherwise the nearest of all
     # will do. Either way the column minimum is the nearest source, so
     # beta_hat has the bits of beta_estimate.
@@ -559,14 +566,19 @@ def twin_targets(
             )
     scenes = []
     probe_n = 500
+    target = problem.target
+    probes = np.concatenate(
+        [_component_points(target, ci, probe_n, seed.substream(33, ci)) for ci in range(len(target.components))]
+    )
     for idx in (map1_index, map2_index):
-        labeler = induced_source_labeler(problem, idx, dense_n, seed.substream(32, idx))
+        # One labeler call for every component's probes; the k = 1 search
+        # labels each row on its own, so the votes split back per component.
+        votes = induced_source_labeler(problem, idx, dense_n, seed.substream(32, idx))(probes)
         comps = []
-        for ci, comp in enumerate(problem.target.components):
-            votes = labeler(_component_points(problem.target, ci, probe_n, seed.substream(33, ci)))
-            counts = np.bincount(votes, minlength=problem.target.label_count)
+        for comp, part in zip(target.components, np.split(votes, len(target.components))):
+            counts = np.bincount(part, minlength=target.label_count)
             comps.append(replace(comp, label=int(counts.argmax()), flip_prob=0.0))
-        scenes.append(Scene(problem.target.dim, tuple(comps), problem.target.label_count))
+        scenes.append(Scene(target.dim, tuple(comps), target.label_count))
     return scenes[0], scenes[1]
 
 

@@ -6,17 +6,20 @@ exactly the output of the default budget. The k-NN search is also compared
 with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
 floats a few ulps apart, and so are the 1-D run votes, there and on blocks
 of copies that the run splits at either end.
-The nearest-reference routes (the sorted 1-D `min_sq`, the per-label
-`min_sq_by_label` table behind certify, the k = 1 search behind the induced
-labeler and the certify unify scan) are compared with full scans on the same
-kinds of lattices. The kernel's bits are checked against a coordinate-order
-plane sum for C-ordered, Fortran-ordered and strided inputs, as are the
-paired distances of `pair_sq` and the margins built on them.
+The nearest-reference routes (the sorted 1-D `min_sq`, the strip search
+behind `min_sq`, `min_sq_by_label` and `min_pair_sq` on images of dim 2-4,
+the k = 1 search behind the induced labeler and the certify unify scan) are
+compared bit for bit with full scans on the same kinds of lattices, on
+floats whose squares underflow, on far and collinear clouds and on copies.
+The kernel's bits are checked against a coordinate-order plane sum for
+C-ordered, Fortran-ordered and strided inputs, as are the paired distances
+of `pair_sq` and the margins built on them.
 """
 
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from sirmnn.scenarios import (
     Scene,
     SceneComponent,
     ShiftProblem,
+    _min_cross_label_distance,
     _sample_points,
     _worst_unify_violation,
     bayes_labels_batch,
@@ -486,3 +490,108 @@ def test_worst_unify_violation_matches_pair_scan(case, forced):
         near = distance.min_sq_by_label(zt, zs, src_bayes, 1 + max(src_bayes.max(), tgt_bayes.max()))
         assert repr(_worst_unify_violation(near, zt, tgt_bayes, zs, src_bayes, limit)) == repr(want)
 
+
+
+@st.composite
+def strip_case(draw):
+    """References and queries of dim 2-4 for the strip search, heavy in ties.
+
+    Integer lattices; floats a few ulps apart in every coordinate around a
+    centre (at 0 and 2**-488 distinct differences square to one double);
+    "far" lattices 2**27 + 8 apart along coordinate 0; lattices with every
+    reference on one coordinate-0 value; copies of a few Gaussian points,
+    queried on and off them; and two Gaussian clouds with queries in both,
+    so that one cloud's queries are far from the other's references. n and
+    m may be 1. Returns (refs, queries).
+    """
+    dim = draw(st.integers(2, 4))
+    n = draw(st.one_of(st.just(1), st.integers(1, 60), st.integers(1000, 3000)))
+    m = draw(st.one_of(st.just(1), st.integers(1, 50)))
+    kind = draw(st.sampled_from(["lattice", "ulps", "far", "column", "copies", "clouds"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("lattice", "column"):
+        side = draw(st.integers(1, 6))
+        refs = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+        queries = rng.integers(-2, side + 2, size=(m, dim)).astype(np.float64)
+        if kind == "column":
+            refs[:, 0] = draw(st.integers(-1, side))
+    elif kind == "ulps":
+        centre = draw(st.sampled_from(FLOAT_CENTRES))
+        steps = draw(st.integers(1, 40))
+        ulp = np.spacing(centre)
+        refs = centre + ulp * rng.integers(-steps, steps + 1, size=(n, dim))
+        queries = centre + ulp * rng.integers(-steps - 3, steps + 4, size=(m, dim))
+    elif kind == "far":
+        refs = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+        refs[:, 0] += 2.0**27 + 8
+        queries = rng.integers(-3, 4, size=(m, dim)).astype(np.float64)
+    elif kind == "copies":
+        pool = rng.standard_normal((draw(st.integers(1, 8)), dim))
+        refs = pool[rng.integers(len(pool), size=n)]
+        queries = pool[rng.integers(len(pool), size=m)] + rng.choice([0.0, 0.5], size=(m, 1))
+    else:
+        refs = 0.4 * rng.standard_normal((n, dim))
+        refs[:, 1] -= 1.0
+        queries = 0.4 * rng.standard_normal((m, dim))
+        queries[:, 1] += rng.choice([-1.0, 1.0], size=m)
+    return refs, queries
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=strip_case())
+def test_strip_search_min_sq_matches_full_scan(case):
+    refs, queries = case
+    assert distance.min_sq(queries, refs).tobytes() == _full_sq(queries, refs).min(axis=1).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=strip_case())
+def test_strip_search_min_pair_sq_matches_full_scan(case):
+    refs, queries = case
+    assert repr(distance.min_pair_sq(queries, refs)) == repr(float(_full_sq(queries, refs).min()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=strip_case(), label_count=st.integers(1, 4), data=st.data())
+def test_strip_search_min_sq_by_label_matches_full_scan(case, label_count, data):
+    refs, queries = case
+    used = data.draw(st.lists(st.integers(0, label_count - 1), min_size=1, unique=True))
+    labels = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).choice(used, size=refs.shape[0])
+    full = _full_sq(queries, refs)
+    want = np.full((label_count, queries.shape[0]), np.inf)
+    for lab in used:
+        if np.any(labels == lab):
+            want[lab] = full[:, labels == lab].min(axis=1)
+    assert distance.min_sq_by_label(queries, refs, labels, label_count).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=strip_case(), label_count=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_min_cross_label_distance_matches_pair_scan(case, label_count, seed):
+    """rho_hat's search: the least distance over all pairs of differing labels."""
+    refs, queries = case
+    z = np.concatenate([refs, queries])
+    labels = np.random.default_rng(seed).integers(0, label_count, size=z.shape[0])
+    differ = labels[:, None] != labels[None, :]
+    want = math.sqrt(_full_sq(z, z)[differ].min()) if differ.any() else math.inf
+    assert repr(_min_cross_label_distance(z, labels)) == repr(want)
+
+
+def test_certify_finds_a_unify_violation_on_2d_images():
+    """The D=8 scene with the target's labels swapped: map 15's 2-D images
+    keep the source apart, so preserve passes, and the worst unify pair is
+    the pair scan's."""
+    prob = _wide_problem()
+    comps = tuple(replace(c, label=1 - c.label) for c in prob.target.components)
+    prob = ShiftProblem(prob.source, Scene(8, comps, 2), prob.family)
+    budget, seed = CertBudget(600, 600), SeedSpec(2)
+    report = certify(prob, 15, budget, seed)
+    src, _ = _sample_points(prob.source, budget.n_source, seed.substream(11))
+    tgt, _ = _sample_points(prob.target, budget.n_target, seed.substream(12))
+    fmap = prob.family[15]
+    want = _unify_pair_scan(
+        apply_batch(fmap, tgt), bayes_labels_batch(prob.target, tgt),
+        apply_batch(fmap, src), bayes_labels_batch(prob.source, src), report.rho_hat / 2,
+    )
+    assert report.preserves == "pass" and report.unifies == "fail" and want is not None
+    assert report.worst_unify_violation == want

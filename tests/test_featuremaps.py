@@ -260,8 +260,17 @@ def random_quads(dim, count, seed):
     return [q_of(*rng.random((4, dim))) for _ in range(count)]
 
 
-def _tuple_set_search(bits, target_size, max_candidates):
-    """shattering_search's depth-first prune, counting dichotomies as row-tuple sets."""
+def _tuple_set_count(bits):
+    return len({tuple(int(v) for v in row) for row in bits})
+
+
+def _packed_code_count(bits):
+    return len(set((bits.astype(np.int64) @ (1 << np.arange(bits.shape[1]))).tolist()))
+
+
+def _reference_search(bits, target_size, max_candidates, count=_tuple_set_count):
+    """shattering_search's depth-first prune, with `count` giving the number
+    of distinct dichotomies among the rows of a prefix's columns."""
     n, checked, stack = bits.shape[1], 0, []
 
     def extend(start):
@@ -272,7 +281,7 @@ def _tuple_set_search(bits, target_size, max_candidates):
                 stack.pop()
                 return "budget"
             checked += 1
-            if len({tuple(int(v) for v in row) for row in bits[:, stack]}) == 2 ** len(stack):
+            if count(bits[:, stack]) == 2 ** len(stack):
                 if len(stack) == target_size:
                     return tuple(stack)
                 result = extend(j + 1)
@@ -286,6 +295,15 @@ def _tuple_set_search(bits, target_size, max_candidates):
     if result == "budget":
         return "inconclusive", None, checked
     return ("none", None, checked) if result is None else ("found", result, checked)
+
+
+def _search_on_bits(bits, size, budget):
+    """shattering_search with `bits` standing in for the comparer bits of a family of as many maps."""
+    fam = proj_family_random(2, 1, bits.shape[0], SeedSpec(0))
+    quads = random_quads(2, bits.shape[1], 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(featuremaps, "_comparer_bits", lambda family, quadruples: bits)
+        return shattering_search(fam, quads, size, max_candidates=budget)
 
 
 class TestShatteringSearch:
@@ -344,18 +362,35 @@ class TestShatteringSearch:
         # each prefix's dichotomies as a set of row tuples.
         size = data.draw(st.integers(1, 5))
         maps = data.draw(st.integers(2**size, 64))
-        quads = random_quads(2, data.draw(st.integers(size, 14)), 0)
+        quad_count = data.draw(st.integers(size, 14))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        bits = (rng.random((maps, len(quads))) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
+        bits = (rng.random((maps, quad_count)) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
         budget = data.draw(st.sampled_from([3, 50, 200_000]))
-        fam = proj_family_random(2, 1, maps, SeedSpec(0))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(featuremaps, "_comparer_bits", lambda family, quadruples: bits)
-            verdict = shattering_search(fam, quads, size, max_candidates=budget)
-        status, witness, checked = _tuple_set_search(bits, size, budget)
+        verdict = _search_on_bits(bits, size, budget)
+        status, witness, checked = _reference_search(bits, size, budget)
         assert (verdict.status, verdict.witness, verdict.candidates_checked) == (status, witness, checked)
         if witness is not None:
             assert verdict.dichotomies == tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
+
+    def test_refinement_matches_packed_code_count(self):
+        # Random bit matrices whose searches end in every status: the group
+        # refinement must give the verdict, witness, dichotomies and
+        # candidate count of the packed-code count.
+        rng = np.random.default_rng(7)
+        statuses = set()
+        for _ in range(120):
+            size = int(rng.integers(1, 6))
+            maps = int(rng.integers(2**size, 80))
+            bits = (rng.random((maps, int(rng.integers(size, 16)))) < rng.choice([0.2, 0.5, 0.8])).astype(np.uint8)
+            budget = int(rng.choice([5, 60, 200_000]))
+            verdict = _search_on_bits(bits, size, budget)
+            status, witness, checked = _reference_search(bits, size, budget, _packed_code_count)
+            assert (verdict.status, verdict.witness, verdict.candidates_checked) == (status, witness, checked)
+            if witness is not None:
+                want = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
+                assert verdict.dichotomies == want
+            statuses.add(status)
+        assert statuses == {"found", "none", "inconclusive"}
 
     def test_quadruple_dims_checked_up_front(self):
         quads = random_quads(3, 4, 0) + random_quads(2, 1, 0)
