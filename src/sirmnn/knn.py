@@ -7,13 +7,16 @@ of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
 Search is exact: every route finds the k neighbors a full stable sort of the
-squared distances puts first, in that order when ranked. The full scan keeps
-each row's k nearest by a partition to the k-th smallest squared distance and
-a stable sort of the candidates at or below it, so tie runs crossing position
-k stay whole. On 1-D images the k nearest form one run of sorted training
-positions, found by a binary search in about log2 k steps; a vote is one
-difference of prefix label counts, and a boundary tie with another value
-outside the run sends the row to the full scan.
+squared distances puts first, in that order when ranked. The full scan votes
+without ranking: a partition finds each row's k-th smallest squared
+distance, the labels at or below it are counted, and a row with more than k
+of those gives back the labels of its last surplus ties in index order. A
+ranked list (one query's k nearest, or the k = 1 search) is a row's first
+minimum for k = 1, else a stable row sort. On 1-D images the k nearest form
+one run of sorted training positions, found by a binary search in about
+log2 k steps; a vote is one difference of prefix label counts, and a
+boundary tie with another value outside the run sends the row to the full
+scan.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.nd
 
     1-D images with k = 1 take their neighbor from :func:`_sorted_runs`. Its
     flagged rows, and every other search, scan all n training images in
-    chunks reduced by :func:`_top_k`, equal to a stable row sort's first k.
+    chunks: a row's first minimum for k = 1, else a stable row sort.
     """
     if train_z.shape[1] == 1 and k == 1:
         order, rorder, start, rescan = _sorted_runs(train_z[:, 0], query_z[:, 0], 1)
@@ -101,7 +104,8 @@ def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.nd
         out, rows = np.empty((query_z.shape[0], k), dtype=np.int64), np.arange(query_z.shape[0])
     if rows.size:
         for lo, sq in distance.sq_blocks(query_z[rows], train_z):
-            out[rows[lo : lo + sq.shape[0]]] = _top_k(sq, k)
+            at = rows[lo : lo + sq.shape[0]]
+            out[at] = sq.argmin(axis=1)[:, None] if k == 1 else np.argsort(sq, axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -140,31 +144,41 @@ def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, ...]
     t = np.flatnonzero(rescan)
     qt, st, kt = q[t], s[t], kth[t]
     tied = np.where(sq(qt, st - 1) == kt, xs[st - 1], xs[st + k])
-    a, b = np.searchsorted(xs, tied), np.searchsorted(xs, tied, side="right")
+    # tied reads the sentinel only if the k-th overflowed to +inf; b <= n keeps ends inside xs.
+    a, b = np.searchsorted(xs, tied), np.minimum(np.searchsorted(xs, tied, side="right"), n)
     ends = np.stack([a - 1, b, st - 1, st, st + k - 1, st + k])  # next to the copies [a, b), and run ends
     rescan[t] = ((sq(qt, ends) == kt) & ((ends < a) | (ends >= b))).any(axis=0)
     return order, rorder, s, rescan
 
 
-def _top_k(sq: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest entries of each row, ranked by (value, column).
+def _threshold_votes(train_z: np.ndarray, query_z: np.ndarray, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
+    """Each query's plurality vote over its k nearest, from a full scan; ties
+    go to the smallest label id.
 
-    A partition finds each row's k-th smallest value. Every column at or
-    below it is a candidate, so a run of ties that crosses position k stays
-    whole. Only the candidates are sorted: each row's candidates, in
-    ascending column order, fill the front of a row padded with +inf, and
-    one stable row sort ranks them. Equal values keep the smaller column
-    first, and the padding sorts after every candidate.
+    Nothing is ranked. A row's k nearest under (squared distance, index) are
+    its columns below its k-th smallest value, plus the first of the columns
+    equal to it, in column order, up to k. So the row's label counts at or
+    below that value, less those of its last `excess` equal columns, are the
+    counts of its k nearest. The counts are products of 0/1 matrices: sums of
+    integers below 2**24 in float32 (2**53 in float64), exact in any BLAS
+    summation order.
     """
-    # Fancy indexing copies kth, so the partitioned copy of sq is freed here.
-    kth = np.partition(sq, k - 1, axis=1)[:, [k - 1]]
-    rows, cols = np.divmod(np.flatnonzero(sq <= kth), sq.shape[1])
-    starts = np.searchsorted(rows, np.arange(sq.shape[0]))
-    width = np.diff(starts, append=rows.size).max()  # most candidates in one row
-    padded = np.full((sq.shape[0], width), np.inf)
-    padded[rows, np.arange(rows.size) - starts[rows]] = sq[rows, cols]
-    rank = np.argsort(padded, axis=1, kind="stable")[:, :k]
-    return cols[starts[:, None] + rank]
+    dtype = np.float32 if train_z.shape[0] < 2**24 else np.float64
+    hot = (labels[:, None] == np.arange(label_count)).astype(dtype)
+    votes = np.empty(query_z.shape[0], dtype=np.int64)
+    for lo, sq in distance.sq_blocks(query_z, train_z):
+        # Fancy indexing copies kth, so the partitioned copy of sq is freed here.
+        kth = np.partition(sq, k - 1, axis=1)[:, [k - 1]]
+        counts = (sq <= kth).astype(dtype) @ hot
+        excess = counts.sum(axis=1).astype(np.int64) - k
+        if excess.any():
+            rows, cols = np.divmod(np.flatnonzero(sq == kth), sq.shape[1])  # each row's equal columns, in order
+            ends = np.searchsorted(rows, np.arange(1, sq.shape[0] + 1))
+            # ends[rows] - i is 1 at a row's last equal column, 2 at the one before it, ...
+            last = np.flatnonzero(ends[rows] - np.arange(rows.size) <= excess[rows])
+            counts -= np.bincount(rows[last] * label_count + labels[cols[last]], minlength=counts.size).reshape(counts.shape)
+        votes[lo : lo + sq.shape[0]] = counts.argmax(axis=1)
+    return votes
 
 
 def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) -> list[int]:
@@ -175,14 +189,6 @@ def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) 
         raise ValueError("query dimension does not match training set")
     query_z = _images(fmap, q.reshape(1, -1))
     return [int(i) for i in _neighbor_indices(c._train_z, query_z, k)[0]]
-
-
-def _vote(neighbor_labels: np.ndarray, label_count: int) -> np.ndarray:
-    """Plurality vote per row; ties go to the smallest label id."""
-    m = neighbor_labels.shape[0]
-    keys = np.arange(m)[:, None] * label_count + neighbor_labels
-    counts = np.bincount(keys.ravel(), minlength=m * label_count).reshape(m, label_count)
-    return counts.argmax(axis=1)
 
 
 def predict(c: KnnClassifier, query) -> int:
@@ -199,7 +205,7 @@ def predict_batch(c: KnnClassifier, queries: UnlabeledSet) -> np.ndarray:
     query_z = _images(c.fmap, queries.points)
     labels, label_count = c.train.labels, c.train.label_count
     if c._train_z.shape[1] > 1:
-        return _vote(labels[_neighbor_indices(c._train_z, query_z, c.k)], label_count).astype(np.int64)
+        return _threshold_votes(c._train_z, query_z, labels, label_count, c.k)
     order, rorder, start, rescan = _sorted_runs(c._train_z[:, 0], query_z[:, 0], c.k)
     # Label counts of sorted positions [0, i); the orders agree at block ends, so a run's are one difference.
     hot = np.vstack([np.zeros(label_count, dtype=bool), labels[:, None] == np.arange(label_count)])
@@ -207,5 +213,5 @@ def predict_batch(c: KnnClassifier, queries: UnlabeledSet) -> np.ndarray:
     votes = (pref[start + c.k] - rpref[start]).argmax(axis=1)
     rows = np.flatnonzero(rescan)
     if rows.size:
-        votes[rows] = _vote(labels[_neighbor_indices(c._train_z, query_z[rows], c.k)], label_count)
+        votes[rows] = _threshold_votes(c._train_z, query_z[rows], labels, label_count, c.k)
     return votes

@@ -4,8 +4,10 @@ Each test reruns a caller with the chunk budget forced down to 1-row chunks
 and to a few rows per chunk (leaving a ragged last chunk), and requires
 exactly the output of the default budget. The k-NN search is also compared
 with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
-floats a few ulps apart, and so are the 1-D run votes, there and on blocks
-of copies that the run splits at either end.
+floats a few ulps apart, and so are the votes: the 1-D run votes there and
+on blocks of copies that the run splits at either end, and the full scan's
+threshold votes on lattices of dim 1-3, on rows where every point ties and
+on groups so far apart that squared distances overflow to +inf.
 The nearest-reference routes (the sorted 1-D `min_sq`, the strip search
 behind `min_sq`, `min_sq_by_label` and `min_pair_sq` on images of dim 2-4,
 the k = 1 search behind the induced labeler and the certify unify scan) are
@@ -30,7 +32,7 @@ from sirmnn import distance
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.estimators import beta_estimate, source_margin, target_margin
 from sirmnn.featuremaps import apply_batch, cor_family
-from sirmnn.knn import KnnClassifier, _neighbor_indices, _sorted_runs, _top_k, _vote, predict_batch
+from sirmnn.knn import KnnClassifier, _neighbor_indices, _sorted_runs, predict_batch
 from sirmnn.scenarios import (
     CertBudget,
     Scene,
@@ -45,6 +47,8 @@ from sirmnn.scenarios import (
     induced_source_labeler,
     perturb_source,
 )
+
+from test_knn import _vote
 
 # 7 rows per chunk against 2000 two-dimensional references.
 RAGGED = 7 * 2000 * 2
@@ -176,21 +180,52 @@ def copies_case(draw):
     return train[:, None], queries[:, None], k, None
 
 
+@st.composite
+def overflow_case(draw):
+    """Lattice points of dim 1-3 in three groups 2**600 apart along
+    coordinate 0: squared distances between groups overflow to +inf and tie
+    there, and k is anywhere in [1, n], so the k-th is often +inf. Returns
+    (train, queries, k, rows per forced chunk)."""
+    n = draw(st.integers(1, 80))
+    dim, rows = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    m = rows * draw(st.integers(0, 4)) + draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    queries = rng.integers(0, 3, size=(m, dim)).astype(np.float64)
+    train[:, 0] += 2.0**600 * rng.integers(-1, 2, size=n)
+    queries[:, 0] += 2.0**600 * rng.integers(-1, 2, size=m)
+    return train, queries, draw(st.integers(1, n)), rows
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
-    case=st.one_of(lattice_case().filter(lambda c: c[0].shape[1] == 1), copies_case()),
+    case=st.one_of(lattice_case(), copies_case(), overflow_case()),
     label_count=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
+    forced=st.booleans(),
 )
-def test_run_vote_matches_stable_sort_oracle(case, label_count, seed):
-    """predict_batch on 1-D images votes the k nearest of a full stable sort,
-    and every run it does not rescan holds exactly those neighbors."""
-    train, queries, k, _ = case
-    labels = np.random.default_rng(seed).integers(0, label_count, size=train.shape[0])
-    oracle = np.argsort((queries - train.T) ** 2, axis=1, kind="stable")[:, :k]
-    clf = KnnClassifier(LabeledSet(train, labels, label_count), k)
-    assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], label_count))
-    order, rorder, start, rescan = _sorted_runs(train[:, 0], queries[:, 0], k)
+# Every one of n points ties with every query (k = n, lattice side 1), in dims 1-3.
+@example(case=(np.zeros((40, 1)), np.zeros((7, 1)), 40, 3), label_count=3, seed=0, forced=True)
+@example(case=(np.zeros((40, 2)), np.zeros((7, 2)), 40, 3), label_count=4, seed=1, forced=False)
+@example(case=(np.ones((1000, 3)), np.ones((9, 3)), 1000, 4), label_count=2, seed=2, forced=True)
+def test_run_vote_matches_stable_sort_oracle(case, label_count, seed, forced):
+    """predict_batch votes the k nearest of a full stable sort on images of
+    dim 1-3, under the default and a forced chunk budget, with labels drawn
+    from a random subset (so some labels have no training point), and on 1-D
+    images every run it does not rescan holds exactly those neighbors."""
+    train, queries, k, rows = case
+    rng = np.random.default_rng(seed)
+    used = rng.choice(label_count, size=rng.integers(1, label_count + 1), replace=False)
+    labels = rng.choice(used, size=train.shape[0])
+    budget = (rows or 2) * train.size if forced else distance.CHUNK_ENTRIES
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        oracle = np.argsort(_plane_sum(queries, train), axis=1, kind="stable")[:, :k]
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        clf = KnnClassifier(LabeledSet(train, labels, label_count), k)
+        assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], label_count))
+        if train.shape[1] > 1:
+            return
+        order, rorder, start, rescan = _sorted_runs(train[:, 0], queries[:, 0], k)
     split = np.searchsorted(train[order, 0], queries[:, 0])  # rorder reads the run's positions below it
     for i in np.flatnonzero(~rescan):
         run = np.r_[rorder[start[i] : split[i]], order[split[i] : start[i] + k]]
@@ -339,7 +374,10 @@ def test_k1_search_matches_first_argmin(case, forced):
     refs, queries, rows = case
     sq = _full_sq(queries, refs)
     want = np.argsort(sq, axis=1, kind="stable")[:, 0]
-    assert np.array_equal(_top_k(sq, 1)[:, 0], want)
+    # A zero last coordinate keeps every squared distance's bits and sends
+    # every row, 1-D ones included, through the full scan's first row minimum.
+    pad = [np.c_[p, np.zeros(p.shape[0])] for p in (refs, queries)]
+    assert np.array_equal(_neighbor_indices(*pad, 1)[:, 0], want)
     budget = rows * refs.size if forced else distance.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance, "CHUNK_ENTRIES", budget)

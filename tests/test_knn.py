@@ -6,10 +6,27 @@ import pytest
 from sirmnn import distance
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.featuremaps import apply_batch, identity_map, linear_map, proj_family_random
-from sirmnn.knn import KnnClassifier, KSchedule, _neighbor_indices, _vote, k_nearest, k_of_n, predict, predict_batch
+from sirmnn.knn import (
+    KnnClassifier,
+    KSchedule,
+    _neighbor_indices,
+    _threshold_votes,
+    k_nearest,
+    k_of_n,
+    predict,
+    predict_batch,
+)
 from sirmnn.scenarios import PanelGeometry, figure1_panel, sample
 
 from test_core import make_set
+
+
+def _vote(neighbor_labels: np.ndarray, label_count: int) -> np.ndarray:
+    """Oracle: plurality vote per row of neighbor labels; ties go to the smallest label id."""
+    m = neighbor_labels.shape[0]
+    keys = np.arange(m)[:, None] * label_count + neighbor_labels
+    counts = np.bincount(keys.ravel(), minlength=m * label_count).reshape(m, label_count)
+    return counts.argmax(axis=1)
 
 
 def brute_force_neighbors(train: LabeledSet, query, k, fmap=None):
@@ -115,6 +132,9 @@ class TestPredict:
         votes = _vote(labels, label_count)
         assert np.array_equal(votes, one_hot)
         assert votes[100:].tolist() == winners
+        # The full scan votes each row as the labels of 12 training points, all among the k = 12 nearest.
+        train_z, query_z = np.arange(12.0)[:, None], np.zeros((1, 1))
+        assert [int(_threshold_votes(train_z, query_z, row, label_count, 12)[0]) for row in labels] == votes.tolist()
 
     def test_dimension_mismatch(self):
         train = make_set([[0.0, 0.0]], [0])

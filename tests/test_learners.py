@@ -220,7 +220,7 @@ def test_one_classifier_per_map(monkeypatch, learn, built, searches):
     u = UnlabeledSet(np.random.default_rng(31).normal(size=(20, 4)))
     t = random_labeled(20, 4, 32)
     counts = {"built": 0, "searches": 0}
-    post_init, search = knn.KnnClassifier.__post_init__, knn._neighbor_indices
+    post_init, search = knn.KnnClassifier.__post_init__, knn._threshold_votes
 
     def counted_post_init(self):
         counts["built"] += 1
@@ -231,7 +231,7 @@ def test_one_classifier_per_map(monkeypatch, learn, built, searches):
         return search(*args)
 
     monkeypatch.setattr(knn.KnnClassifier, "__post_init__", counted_post_init)
-    monkeypatch.setattr(knn, "_neighbor_indices", counted_search)
+    monkeypatch.setattr(knn, "_threshold_votes", counted_search)
     learn(s, u, t)
     assert counts == {"built": built, "searches": searches}
 
