@@ -46,12 +46,21 @@ def source_margin(classifier: KnnClassifier, s_source: LabeledSet) -> float:
     through its map. Pairs on which the k-NN predictions agree contribute
     math.inf, so an all-agreeing sample yields math.inf.
     """
+    pairs = _margin_pairs(s_source)
+    return _margin(classifier.fmap, pairs, predict_batch(classifier, pairs.unlabeled()))
+
+
+def _margin_pairs(s_source: LabeledSet) -> LabeledSet:
+    """The first 2 * (n // 2) points of a margin sample: its two halves."""
     if len(s_source) < 2:
         raise ValueError("margin sample must have at least 2 points")
-    half = len(s_source) // 2
-    pairs = s_source.slice(0, 2 * half)
-    preds = predict_batch(classifier, pairs.unlabeled())
-    z = _images(classifier.fmap, pairs.points)
+    return s_source.slice(0, 2 * (len(s_source) // 2))
+
+
+def _margin(fmap: FeatureMap | None, pairs: LabeledSet, preds: np.ndarray) -> float:
+    """:func:`source_margin` of the predictions `preds` of `pairs` (from :func:`_margin_pairs`)."""
+    half = len(pairs) // 2
+    z = _images(fmap, pairs.points)
     d = np.sqrt(pair_sq(z[:half], z[half:]))
     disagree = preds[:half] != preds[half:]
     if not np.any(disagree):
@@ -82,9 +91,13 @@ def empirical_risk(classifier: KnnClassifier, eval_set: LabeledSet) -> LossEstim
     """Misclassification fraction of the classifier over `eval_set`."""
     if len(eval_set) == 0:
         raise ValueError("evaluation set must be non-empty")
-    preds = predict_batch(classifier, eval_set.unlabeled())
-    wrong = int(np.count_nonzero(preds != eval_set.labels))
-    return LossEstimate(wrong / len(eval_set), len(eval_set))
+    return _loss(predict_batch(classifier, eval_set.unlabeled()), eval_set.labels)
+
+
+def _loss(preds: np.ndarray, labels: np.ndarray) -> LossEstimate:
+    """:func:`empirical_risk` of the predictions `preds` of points labeled `labels`."""
+    wrong = int(np.count_nonzero(preds != labels))
+    return LossEstimate(wrong / len(labels), len(labels))
 
 
 def beta_estimate(fmap: FeatureMap | None, source_points: UnlabeledSet, target_points: UnlabeledSet) -> float:

@@ -17,6 +17,17 @@ one run of sorted training positions, found by a binary search in about
 log2 k steps; a vote is one difference of prefix label counts, and a
 boundary tie with another value outside the run sends the row to the full
 scan.
+
+:func:`family_votes` votes every map of a family in one call, and
+:func:`predict_batch` is its one-map case. Each distinct image column (a
+coordinate of the points, shared by every identity and coordinate map that
+reads it, or a linear map's own column) is laid out once. A 1-D image takes
+one sorted run over all the queries. The other maps share one full scan over
+row tiles of :func:`distance.plane_tiles`: the tile budget is counted over
+the distinct columns, each column's plane is computed once per tile, and
+each map adds its own planes. The scan's sum, partition scratch and 0/1
+mask are allocated once per call and reused for every tile and map, as is
+the tile itself, so a tile's values are valid only until the next step.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from . import distance
 from .core import LabeledSet, UnlabeledSet, as_point
 from .featuremaps import FeatureMap, apply_batch
 
-__all__ = ["KSchedule", "k_of_n", "KnnClassifier", "k_nearest", "predict", "predict_batch"]
+__all__ = ["KSchedule", "k_of_n", "KnnClassifier", "k_nearest", "predict", "predict_batch", "family_votes"]
 
 
 @dataclass(frozen=True)
@@ -75,14 +86,18 @@ class KnnClassifier:
     fmap: FeatureMap | None = None
 
     def __post_init__(self):
-        if len(self.train) == 0:
-            raise ValueError("training set must be non-empty")
-        if not 1 <= self.k <= len(self.train):
-            raise ValueError(f"k must be in [1, {len(self.train)}], got {self.k}")
-        if self.fmap is not None and self.fmap.input_dim != self.train.dim:
-            raise ValueError("feature map dimension does not match training set")
+        _check(self.train, self.k, self.fmap)
         # Precompute train images once; reused by every query.
         object.__setattr__(self, "_train_z", _images(self.fmap, self.train.points))
+
+
+def _check(train: LabeledSet, k: int, fmap: FeatureMap | None) -> None:
+    if len(train) == 0:
+        raise ValueError("training set must be non-empty")
+    if not 1 <= k <= len(train):
+        raise ValueError(f"k must be in [1, {len(train)}], got {k}")
+    if fmap is not None and fmap.input_dim != train.dim:
+        raise ValueError("feature map dimension does not match training set")
 
 
 def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
@@ -151,34 +166,123 @@ def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, ...]
     return order, rorder, s, rescan
 
 
-def _threshold_votes(train_z: np.ndarray, query_z: np.ndarray, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
-    """Each query's plurality vote over its k nearest, from a full scan; ties
-    go to the smallest label id.
+def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
+    """(len(maps), m) plurality votes over each query's k nearest; ties go to
+    the smallest label id.
 
-    Nothing is ranked. A row's k nearest under (squared distance, index) are
-    its columns below its k-th smallest value, plus the first of the columns
-    equal to it, in column order, up to k. So the row's label counts at or
-    below that value, less those of its last `excess` equal columns, are the
-    counts of its k nearest. The counts are products of 0/1 matrices: sums of
-    integers below 2**24 in float32 (2**53 in float64), exact in any BLAS
-    summation order.
+    train_t (C, n) and query_t (C, m) hold one image column per row, and
+    maps[f] lists the rows of map f's image in column order. 1-D images vote
+    from their sorted runs, the others from one shared full scan.
     """
-    dtype = np.float32 if train_z.shape[0] < 2**24 else np.float64
-    hot = (labels[:, None] == np.arange(label_count)).astype(dtype)
-    votes = np.empty(query_z.shape[0], dtype=np.int64)
-    for lo, sq in distance.sq_blocks(query_z, train_z):
-        # Fancy indexing copies kth, so the partitioned copy of sq is freed here.
-        kth = np.partition(sq, k - 1, axis=1)[:, [k - 1]]
-        counts = (sq <= kth).astype(dtype) @ hot
-        excess = counts.sum(axis=1).astype(np.int64) - k
-        if excess.any():
-            rows, cols = np.divmod(np.flatnonzero(sq == kth), sq.shape[1])  # each row's equal columns, in order
-            ends = np.searchsorted(rows, np.arange(1, sq.shape[0] + 1))
-            # ends[rows] - i is 1 at a row's last equal column, 2 at the one before it, ...
-            last = np.flatnonzero(ends[rows] - np.arange(rows.size) <= excess[rows])
-            counts -= np.bincount(rows[last] * label_count + labels[cols[last]], minlength=counts.size).reshape(counts.shape)
-        votes[lo : lo + sq.shape[0]] = counts.argmax(axis=1)
+    votes = np.empty((len(maps), query_t.shape[1]), dtype=np.int64)
+    scan = [f for f, cols in enumerate(maps) if len(cols) > 1]
+    if scan:
+        votes[scan] = _threshold_votes(train_t, query_t, [maps[f] for f in scan], labels, label_count, k)
+    for f, cols in enumerate(maps):
+        if len(cols) == 1:
+            votes[f] = _run_votes(train_t[cols[0]], query_t[cols[0]], labels, label_count, k)
     return votes
+
+
+def _run_votes(x: np.ndarray, q: np.ndarray, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
+    """Votes on 1-D images x (training) and q (queries) from :func:`_sorted_runs`;
+    its flagged rows go to the full scan."""
+    order, rorder, start, rescan = _sorted_runs(x, q, k)
+    # Label counts of sorted positions [0, i); the orders agree at block ends, so a run's are one difference.
+    hot = np.vstack([np.zeros(label_count, dtype=bool), labels[:, None] == np.arange(label_count)])
+    pref, rpref = (np.cumsum(hot[np.r_[0, o + 1]], axis=0) for o in (order, rorder))
+    votes = (pref[start + k] - rpref[start]).argmax(axis=1)
+    rows = np.flatnonzero(rescan)
+    if rows.size:
+        votes[rows] = _threshold_votes(x[None], q[None, rows], [[0]], labels, label_count, k)[0]
+    return votes
+
+
+def _threshold_votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
+    """:func:`_votes` from a full scan of every map on shared plane tiles.
+
+    Each tile holds one plane per distinct column the maps read, and a map's
+    squared distances are its planes' sum. Nothing is ranked. A row's k
+    nearest under (squared distance, index) are its columns below its k-th
+    smallest value, plus the first of the columns equal to it, in column
+    order, up to k. So the row's label counts at or below that value, less
+    those of its last `excess` equal columns, are the counts of its k
+    nearest. The counts are products of 0/1 matrices: sums of integers below
+    2**24 in float32 (2**53 in float64), exact in any BLAS summation order.
+    The sum, the partition scratch and the 0/1 mask are allocated once.
+    """
+    used = sorted({c for cols in maps for c in cols})
+    slot = {c: i for i, c in enumerate(used)}
+    maps = [[slot[c] for c in cols] for cols in maps]
+    n, m = train_t.shape[1], query_t.shape[1]
+    dtype = np.float32 if n < 2**24 else np.float64
+    hot = (labels[:, None] == np.arange(label_count)).astype(dtype)
+    rows = min(distance.tile_rows(n, len(used)), m)
+    sum_buf, part_buf, mask_buf = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=dtype)
+    votes = np.empty((len(maps), m), dtype=np.int64)
+    for lo, planes in distance.plane_tiles(query_t[used], train_t[used]):
+        r = planes.shape[1]
+        for f, cols in enumerate(maps):
+            sq = distance.plane_sum(planes, cols, out=sum_buf[:r])
+            part = part_buf[:r]
+            part[...] = sq
+            part.partition(k - 1, axis=1)
+            kth = part[:, k - 1 : k]
+            counts = np.less_equal(sq, kth, out=mask_buf[:r]) @ hot
+            excess = counts.sum(axis=1).astype(np.int64) - k
+            if excess.any():
+                rows_at, cols_at = np.divmod(np.flatnonzero(sq == kth), n)  # each row's equal columns, in order
+                ends = np.searchsorted(rows_at, np.arange(1, r + 1))
+                # ends[rows_at] - i is 1 at a row's last equal column, 2 at the one before it, ...
+                last = np.flatnonzero(ends[rows_at] - np.arange(rows_at.size) <= excess[rows_at])
+                counts -= np.bincount(
+                    rows_at[last] * label_count + labels[cols_at[last]], minlength=counts.size
+                ).reshape(counts.shape)
+            votes[f, lo : lo + r] = counts.argmax(axis=1)
+    return votes
+
+
+def _columns(maps, train_points: np.ndarray, query_points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """(train_t, query_t, cols): the distinct image columns of the maps, one
+    row each, and the rows of each map's image in column order.
+
+    No map and identity and coordinate maps read coordinates of the points,
+    one row each however many maps read it; a linear map's image columns are
+    its own rows.
+    """
+    rows, cols, at = [], [], {}  # rows: (train, query) column pairs; at: coordinate -> row
+    for fmap in maps:
+        if fmap is not None and fmap.kind == "linear":
+            zt, zq = apply_batch(fmap, train_points), apply_batch(fmap, query_points)
+            cols.append(list(range(len(rows), len(rows) + zt.shape[1])))
+            rows += zip(zt.T, zq.T)
+            continue
+        coords = fmap.coords if fmap is not None and fmap.kind == "coordinate_subset" else range(train_points.shape[1])
+        for c in coords:
+            if c not in at:
+                at[c] = len(rows)
+                rows.append((train_points[:, c], query_points[:, c]))
+        cols.append([at[c] for c in coords])
+    train_rows, query_rows = zip(*rows)
+    return np.array(train_rows), np.array(query_rows), cols
+
+
+def family_votes(train: LabeledSet, k: int, maps, queries: UnlabeledSet) -> np.ndarray:
+    """(len(maps), m) array whose row f is :func:`predict_batch` of
+    KnnClassifier(train, k, maps[f]) on `queries`; a map may be None.
+
+    The maps share one call: each distinct image column is laid out once,
+    and the full scan computes its plane once per tile for every map that
+    reads it.
+    """
+    for fmap in maps:
+        _check(train, k, fmap)
+    if queries.dim != train.dim:
+        raise ValueError("query dimension does not match training set")
+    if not maps or len(queries) == 0:
+        return np.empty((len(maps), len(queries)), dtype=np.int64)
+    train_t, query_t, cols = _columns(maps, train.points, queries.points)
+    return _votes(train_t, query_t, cols, train.labels, train.label_count, k)
 
 
 def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) -> list[int]:
@@ -202,16 +306,6 @@ def predict_batch(c: KnnClassifier, queries: UnlabeledSet) -> np.ndarray:
         raise ValueError("query dimension does not match training set")
     if len(queries) == 0:
         return np.empty(0, dtype=np.int64)
-    query_z = _images(c.fmap, queries.points)
-    labels, label_count = c.train.labels, c.train.label_count
-    if c._train_z.shape[1] > 1:
-        return _threshold_votes(c._train_z, query_z, labels, label_count, c.k)
-    order, rorder, start, rescan = _sorted_runs(c._train_z[:, 0], query_z[:, 0], c.k)
-    # Label counts of sorted positions [0, i); the orders agree at block ends, so a run's are one difference.
-    hot = np.vstack([np.zeros(label_count, dtype=bool), labels[:, None] == np.arange(label_count)])
-    pref, rpref = (np.cumsum(hot[np.r_[0, o + 1]], axis=0) for o in (order, rorder))
-    votes = (pref[start + c.k] - rpref[start]).argmax(axis=1)
-    rows = np.flatnonzero(rescan)
-    if rows.size:
-        votes[rows] = _threshold_votes(c._train_z, query_z[rows], labels, label_count, c.k)
-    return votes
+    query_t = np.ascontiguousarray(_images(c.fmap, queries.points).T)
+    cols = [range(query_t.shape[0])]
+    return _votes(np.ascontiguousarray(c._train_z.T), query_t, cols, c.train.labels, c.train.label_count, c.k)[0]

@@ -2,7 +2,10 @@
 
 All three rules score every map in the family, record the full per-map
 diagnostics table, and break score ties toward the smallest family index,
-so identical inputs always produce identical outputs.
+so identical inputs always produce identical outputs. Each rule predicts
+all its held-out queries (loss and margin, or the target) through every
+map in one :func:`knn.family_votes` call, and builds a classifier only for
+the map it returns.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import SCHEMA_VERSION, LabeledSet, UnlabeledSet, split_fractions
-from .estimators import empirical_risk, source_margin, target_margin
+from .estimators import _loss, _margin, _margin_pairs, target_margin
 from .featuremaps import FeatureFamily
-from .knn import KnnClassifier, KSchedule, k_of_n
+from .knn import KnnClassifier, KSchedule, family_votes, k_of_n
 
 __all__ = [
     "LearnerConfig",
@@ -124,6 +129,19 @@ def _admit_and_choose(
     return max(eligible, key=scores.__getitem__), admitted, False
 
 
+def _loss_and_margin(
+    s_tr: LabeledSet, k: int, family: FeatureFamily, s_loss: LabeledSet, s_margin: LabeledSet
+) -> tuple[list[float], list[float]]:
+    """Each map's held-out loss on `s_loss` and source margin on `s_margin`
+    for k-NN trained on `s_tr`, from one family vote on both query sets."""
+    pairs = _margin_pairs(s_margin)
+    votes = family_votes(s_tr, k, family.maps, UnlabeledSet(np.vstack([s_loss.points, pairs.points])))
+    m = len(s_loss)
+    losses = [_loss(v[:m], s_loss.labels).value for v in votes]
+    margins = [_margin(fmap, pairs, v[m:]) for fmap, v in zip(family.maps, votes)]
+    return losses, margins
+
+
 # Smallest source samples the split rules accept.
 SOURCE_ONLY_MIN_N = 8
 UNLABELED_MIN_N = 10
@@ -135,11 +153,11 @@ def direct_generalize_nn(
     """Source-only rule: admit low-loss maps, keep the widest-margin one.
 
     The sample is quartered in insertion order into train / loss / margin /
-    final parts. Each map's k-NN classifier on the train quarter is built
-    once and scored twice: its error rate on the loss quarter and its
-    paired margin on the margin quarter. Maps are admitted on that loss, the
-    admitted map with the largest observed margin wins, and the returned
-    classifier is k-NN through the winner trained on the final quarter. If
+    final parts. Each map's k-NN through the train quarter is scored twice:
+    its error rate on the loss quarter and its paired margin on the margin
+    quarter. Maps are admitted on that loss, the admitted map with the
+    largest observed margin wins, and the returned classifier is k-NN
+    through the winner trained on the final quarter. If
     admission rejects every map, the lowest-loss map is used and the output
     is flagged as a fallback.
     """
@@ -150,9 +168,7 @@ def direct_generalize_nn(
     eps = cfg.epsilon_for(len(s))
     k_tr = k_of_n(cfg.k_schedule, len(s_tr))
 
-    clfs = [KnnClassifier(s_tr, k_tr, m) for m in family.maps]
-    losses = [empirical_risk(c, s_loss).value for c in clfs]
-    margins = [source_margin(c, s_margin) for c in clfs]
+    losses, margins = _loss_and_margin(s_tr, k_tr, family, s_loss, s_margin)
     chosen, admitted, fallback = _admit_and_choose(losses, margins, eps, cfg.admission_mode)
 
     diagnostics = tuple(
@@ -172,13 +188,13 @@ def presrv_contract_nn(
     """Source + unlabeled-target rule: widest margin after a contraction penalty.
 
     The sample is split into five parts in insertion order (train / loss /
-    margin / target-margin / final). Each map's k-NN classifier on the
-    train part is built once; admission works on its loss as in the
-    source-only rule, and among admitted maps the winner maximizes
-    source_margin - lambda * target_margin, so an infinite observed margin
-    with a finite contraction estimate dominates every finite score. The
-    winner's scored classifier, trained on the first (train) part, is
-    returned. Target labels are never read.
+    margin / target-margin / final). Each map's k-NN through the train
+    part is scored and admitted on its loss as in the source-only rule,
+    and among admitted maps the winner maximizes source_margin - lambda *
+    target_margin, so an infinite observed margin with a finite
+    contraction estimate dominates every finite score. The returned
+    classifier is k-NN through the winner trained on the first (train)
+    part, as scored. Target labels are never read.
     """
     cfg = cfg or LearnerConfig()
     if len(s) < UNLABELED_MIN_N:
@@ -189,9 +205,7 @@ def presrv_contract_nn(
     eps = cfg.epsilon_for(len(s))
     k_tr = k_of_n(cfg.k_schedule, len(s_tr))
 
-    clfs = [KnnClassifier(s_tr, k_tr, m) for m in family.maps]
-    losses = [empirical_risk(c, s_loss).value for c in clfs]
-    rho_s = [source_margin(c, s_margin) for c in clfs]
+    losses, rho_s = _loss_and_margin(s_tr, k_tr, family, s_loss, s_margin)
     rho_t = [target_margin(m, s_margin_t, u) for m in family.maps]
     scores = [rs - cfg.lambda_ * rt for rs, rt in zip(rho_s, rho_t)]
     chosen, admitted, fallback = _admit_and_choose(losses, scores, eps, cfg.admission_mode)
@@ -207,7 +221,7 @@ def presrv_contract_nn(
         )
         for i in range(len(family))
     )
-    return LearnerOutput(chosen, clfs[chosen], diagnostics, fallback=fallback, epsilon=eps)
+    return LearnerOutput(chosen, KnnClassifier(s_tr, k_tr, family[chosen]), diagnostics, fallback=fallback, epsilon=eps)
 
 
 def feature_validate(
@@ -217,17 +231,16 @@ def feature_validate(
 
     For each map the empirical risk on `t` of k-NN through that map trained
     on all of `s` is computed; the lowest-risk map (smallest index on ties)
-    wins and its scored classifier, trained on all of `s`, is returned.
+    wins, and its classifier, trained on all of `s` as scored, is returned.
     """
     if len(s) == 0 or len(t) == 0:
         raise ValueError("source and target sets must be non-empty")
-    clfs = [KnnClassifier(s, k, m) for m in family.maps]
-    losses = [empirical_risk(c, t).value for c in clfs]
+    losses = [_loss(v, t.labels).value for v in family_votes(s, k, family.maps, t.unlabeled())]
     chosen = losses.index(min(losses))
     diagnostics = tuple(
         MapDiagnostics(i, target_loss=losses[i], admitted=True) for i in range(len(family))
     )
-    return LearnerOutput(chosen, clfs[chosen], diagnostics, fallback=False, epsilon=None)
+    return LearnerOutput(chosen, KnnClassifier(s, k, family[chosen]), diagnostics, fallback=False, epsilon=None)
 
 
 def target_sample_budget(dd_upper: float, n: int, epsilon: float, delta: float, c: float) -> int:

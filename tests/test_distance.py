@@ -15,7 +15,12 @@ compared bit for bit with full scans on the same kinds of lattices, on
 floats whose squares underflow, on far and collinear clouds and on copies.
 The kernel's bits are checked against a coordinate-order plane sum for
 C-ordered, Fortran-ordered and strided inputs, as are the paired distances
-of `pair_sq` and the margins built on them.
+of `pair_sq` and the margins built on them. The shared planes of
+`plane_tiles`, any column subset added in any order, are checked against
+`sq_blocks` and `pair_sq`, and each row of a family vote against the
+stable-sort vote of its map alone, on families that mix coordinate maps
+with overlapping coordinates, the identity, no map and linear maps, with
+1-D and wider images.
 """
 
 import itertools
@@ -31,8 +36,8 @@ from hypothesis import strategies as st
 from sirmnn import distance
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.estimators import beta_estimate, source_margin, target_margin
-from sirmnn.featuremaps import apply_batch, cor_family
-from sirmnn.knn import KnnClassifier, _neighbor_indices, _sorted_runs, predict_batch
+from sirmnn.featuremaps import apply_batch, cor_family, identity_map, linear_map
+from sirmnn.knn import KnnClassifier, _columns, _neighbor_indices, _sorted_runs, family_votes, predict_batch
 from sirmnn.scenarios import (
     CertBudget,
     Scene,
@@ -86,7 +91,8 @@ def test_blocks_cover_every_row_with_a_ragged_tail(lattice, monkeypatch):
     assert np.array_equal(distance.min_sq(queries, train), exact.min(axis=1))
 
 
-@pytest.mark.parametrize("budget", [*SMALL_BUDGETS, distance.CHUNK_ENTRIES])
+# 2_000_000 holds the whole lattice in one chunk; the default budget splits it.
+@pytest.mark.parametrize("budget", [*SMALL_BUDGETS, 2_000_000, distance.CHUNK_ENTRIES])
 def test_neighbor_indices_match_stable_sort_oracle(lattice, monkeypatch, budget):
     train, queries = lattice
     exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
@@ -232,6 +238,88 @@ def test_run_vote_matches_stable_sort_oracle(case, label_count, seed, forced):
         assert sorted(run) == sorted(oracle[i])
 
 
+@st.composite
+def family_case(draw):
+    """Lattice points of dim D = 3-4 and a list of maps on them, with k anywhere in [1, n].
+
+    The maps are drawn with repeats from cor_family(D, 1-3) (overlapping
+    coordinates, 1-D and multi-column images), the identity, no map, and
+    linear maps with 1-3 image columns and entries in {-1, -1/2, 0, 1/2, 1}.
+    The points may form two groups 2**27 + 8 apart along coordinate 0, so
+    squared distances lie where doubles are 4 apart and their bits depend on
+    the order of the plane sum, or groups 2**600 apart, so squared distances
+    overflow to +inf and tie there. Returns (train, queries, maps, k, rows
+    per forced tile); m leaves a ragged last tile.
+    """
+    dim, n = draw(st.integers(3, 4)), draw(st.one_of(st.integers(1, 60), st.integers(300, 600)))
+    rows = draw(st.integers(2, 5))
+    m = rows * draw(st.integers(0, 6)) + draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(1, 4))
+    train = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+    queries = rng.integers(0, side, size=(m, dim)).astype(np.float64)
+    apart = draw(st.sampled_from([0.0, 2.0**27 + 8, 2.0**600]))
+    train[:, 0] += apart * rng.integers(-1, 2, size=n)
+    queries[:, 0] += apart * rng.integers(-1, 2, size=m)
+    pool = [fm for j in (1, 2, 3) for fm in cor_family(dim, j).maps] + [identity_map(dim), None]
+    pool += [linear_map(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(dim, j))) for j in (1, 2, 3)]
+    maps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return train, queries, maps, draw(st.integers(1, n)), rows
+
+
+def _scanned_columns(maps, dim):
+    """Distinct image columns the full scan of a family vote reads: those of
+    its maps with images of dim >= 2, coordinates shared."""
+    coords, own = set(), 0
+    for fmap in maps:
+        if fmap is not None and fmap.kind == "linear":
+            own += fmap.output_dim if fmap.output_dim > 1 else 0
+        elif fmap is None or fmap.output_dim > 1:
+            coords |= set(range(dim) if fmap is None or fmap.coords is None else fmap.coords)
+    return len(coords) + own
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    case=family_case(),
+    label_count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    tiles=st.sampled_from(["one_row", "ragged", "default"]),
+)
+# Every one of n points ties with every query (k = n): 1-D, 2-D and 3-D images, one call.
+@example(
+    case=(np.zeros((40, 3)), np.zeros((7, 3)), [*cor_family(3, 2).maps, *cor_family(3, 1).maps, None], 40, 3),
+    label_count=3, seed=0, tiles="ragged",
+)
+def test_family_votes_match_per_map_stable_sort_oracle(case, label_count, seed, tiles):
+    """Row f of family_votes is, bit for bit, the stable-sort vote of map f on
+    its own, and predict_batch through map f; with 1-row tiles, tiles of a
+    few rows and a ragged last one, or the default budget, and labels drawn
+    from a random subset, so some labels have no training point."""
+    train, queries, maps, k, rows = case
+    rng = np.random.default_rng(seed)
+    used = rng.choice(label_count, size=rng.integers(1, label_count + 1), replace=False)
+    train_set = LabeledSet(train, rng.choice(used, size=train.shape[0]), label_count)
+    budget = {
+        "one_row": 1,
+        "ragged": rows * train.shape[0] * max(1, _scanned_columns(maps, train.shape[1])),
+        "default": distance.CHUNK_ENTRIES,
+    }[tiles]
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        got = family_votes(train_set, k, maps, UnlabeledSet(queries))
+        assert got.shape == (len(maps), queries.shape[0])
+        train_t, query_t, cols = _columns(maps, train, queries)
+        for f, fmap in enumerate(maps):
+            zt, zq = (train, queries) if fmap is None else (apply_batch(fmap, train), apply_batch(fmap, queries))
+            # The shared rows of map f, in its order, are its image's columns.
+            assert train_t[cols[f]].T.tobytes() == np.ascontiguousarray(zt).tobytes(), f
+            assert query_t[cols[f]].T.tobytes() == np.ascontiguousarray(zq).tobytes(), f
+            oracle = np.argsort(_plane_sum(zq, zt), axis=1, kind="stable")[:, :k]
+            assert np.array_equal(got[f], _vote(train_set.labels[oracle], label_count)), f
+            assert np.array_equal(got[f], predict_batch(KnnClassifier(train_set, k, fmap), UnlabeledSet(queries))), f
+
+
 def _plane_sum(queries, refs):
     """Squared distances summed one coordinate plane at a time, in coordinate order."""
     sq = (queries[:, None, 0] - refs[None, :, 0]) ** 2
@@ -358,6 +446,32 @@ def nearest_case(draw, dims=(1,), kinds=("lattice", "ulps", "mirror", "far")):
 
 def _full_sq(queries, refs):
     return np.vstack([sq for _, sq in distance.sq_blocks(queries, refs)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=nearest_case(dims=(1, 2, 3, 4)), data=st.data())
+def test_shared_plane_sums_match_sq_blocks_and_pair_sq(case, data):
+    """The planes of plane_tiles, any subset of columns added in any order by
+    plane_sum, have the bits of sq_blocks and pair_sq on the points' columns
+    in that order, at 1-row tiles, tiles of a few rows with a ragged last
+    one, and the default budget; the tiles cover the rows in order."""
+    refs, queries, rows = case
+    (m, dim), n = queries.shape, refs.shape[0]
+    cols = data.draw(st.permutations(range(dim)))[: data.draw(st.integers(1, dim))]
+    budget = data.draw(st.sampled_from([1, rows * refs.size, distance.CHUNK_ENTRIES]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        step = distance.tile_rows(n, dim)
+        tiles = distance.plane_tiles(np.ascontiguousarray(queries.T), np.ascontiguousarray(refs.T))
+        # A tile is valid only until the next step, so each is summed before it.
+        sums = [(lo, distance.plane_sum(p, cols), distance.plane_sum(p, cols, out=np.empty(p.shape[1:]))) for lo, p in tiles]
+        blocks = np.vstack([sq for _, sq in distance.sq_blocks(queries[:, cols], refs[:, cols])])
+    assert [lo for lo, _, _ in sums] == list(range(0, m, step))
+    got = np.vstack([fresh for _, fresh, _ in sums])
+    assert got.tobytes() == np.vstack([into for _, _, into in sums]).tobytes()
+    assert got.tobytes() == blocks.tobytes()
+    pairs = distance.pair_sq(np.repeat(queries[:, cols], n, axis=0), np.tile(refs[:, cols], (m, 1)))
+    assert got.tobytes() == pairs.reshape(m, n).tobytes()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

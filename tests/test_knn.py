@@ -133,8 +133,8 @@ class TestPredict:
         assert np.array_equal(votes, one_hot)
         assert votes[100:].tolist() == winners
         # The full scan votes each row as the labels of 12 training points, all among the k = 12 nearest.
-        train_z, query_z = np.arange(12.0)[:, None], np.zeros((1, 1))
-        assert [int(_threshold_votes(train_z, query_z, row, label_count, 12)[0]) for row in labels] == votes.tolist()
+        train_t, query_t = np.arange(12.0)[None], np.zeros((1, 1))
+        assert [int(_threshold_votes(train_t, query_t, [[0]], row, label_count, 12)[0, 0]) for row in labels] == votes.tolist()
 
     def test_dimension_mismatch(self):
         train = make_set([[0.0, 0.0]], [0])
@@ -204,8 +204,8 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     labels = rng.integers(0, 3, size=train.shape[0])
     oracle = np.argsort((queries - train.T) ** 2, axis=1, kind="stable")[:, :k]
     scans = []
-    sq_blocks = distance.sq_blocks
-    monkeypatch.setattr(distance, "sq_blocks", lambda *args: scans.append(args) or sq_blocks(*args))
+    plane_tiles = distance.plane_tiles  # behind every full scan, sq_blocks included
+    monkeypatch.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
     clf = KnnClassifier(LabeledSet(train, labels, 3), k)
     assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], 3))
     if k == 1:

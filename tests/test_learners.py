@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from sirmnn import knn
-from sirmnn.core import SeedSpec, UnlabeledSet
-from sirmnn.estimators import empirical_risk
-from sirmnn.featuremaps import FeatureFamily, cor_family, identity_map
-from sirmnn.knn import KSchedule, k_of_n
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sirmnn import estimators, knn, learners
+from sirmnn.core import SeedSpec, UnlabeledSet, split_fractions
+from sirmnn.estimators import empirical_risk, source_margin
+from sirmnn.featuremaps import FeatureFamily, cor_family, identity_map, linear_map
+from sirmnn.knn import KnnClassifier, KSchedule, k_of_n
 from sirmnn.learners import (
     LearnerConfig,
     direct_generalize_nn,
@@ -203,37 +206,100 @@ class TestFeatureValidate:
             feature_validate(s, s.slice(0, 0), cor_family(2, 1), k=1)
 
 
-FAMILY = cor_family(4, 2)  # F = 6 maps
-F = len(FAMILY)
+FAMILY = cor_family(4, 2)  # 6 maps
 
 
-@pytest.mark.parametrize("learn, built, searches", [
-    (lambda s, u, t: direct_generalize_nn(s, FAMILY), F + 1, 2 * F),
-    (lambda s, u, t: presrv_contract_nn(s, u, FAMILY), F, 2 * F),
-    (lambda s, u, t: feature_validate(s, t, FAMILY, 3), F, F),
+@pytest.mark.parametrize("learn", [
+    lambda s, u, t: direct_generalize_nn(s, FAMILY),
+    lambda s, u, t: presrv_contract_nn(s, u, FAMILY),
+    lambda s, u, t: feature_validate(s, t, FAMILY, 3),
 ], ids=["source-only", "unlabeled", "validate"])
-def test_one_classifier_per_map(monkeypatch, learn, built, searches):
-    """Each rule trains one k-NN classifier per map and searches it once per
-    query set: loss and margin for the source-side rules, the target for
-    validation. The source-only rule also trains its final classifier."""
+def test_one_classifier_per_map(monkeypatch, learn):
+    """Each rule scores the whole family in one family vote call, which
+    scans all maps (of 2-D images here) in one full scan, predicts nothing
+    map by map, and builds one k-NN classifier: the one it returns."""
     s = random_labeled(80, 4, 30)
     u = UnlabeledSet(np.random.default_rng(31).normal(size=(20, 4)))
     t = random_labeled(20, 4, 32)
-    counts = {"built": 0, "searches": 0}
-    post_init, search = knn.KnnClassifier.__post_init__, knn._threshold_votes
+    counts = {"built": 0, "family_votes": 0, "scans": 0, "predictions": 0}
+    post_init = knn.KnnClassifier.__post_init__
 
-    def counted_post_init(self):
-        counts["built"] += 1
-        post_init(self)
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_search(*args):
-        counts["searches"] += 1
-        return search(*args)
-
-    monkeypatch.setattr(knn.KnnClassifier, "__post_init__", counted_post_init)
-    monkeypatch.setattr(knn, "_threshold_votes", counted_search)
+    monkeypatch.setattr(knn.KnnClassifier, "__post_init__", counted("built", post_init))
+    monkeypatch.setattr(learners, "family_votes", counted("family_votes", learners.family_votes))
+    monkeypatch.setattr(knn, "_threshold_votes", counted("scans", knn._threshold_votes))
+    for module in (knn, estimators):
+        monkeypatch.setattr(module, "predict_batch", counted("predictions", module.predict_batch))
     learn(s, u, t)
-    assert counts == {"built": built, "searches": searches}
+    assert counts == {"built": 1, "family_votes": 1, "scans": 1, "predictions": 0}
+
+
+def _per_map(s_tr, k, family, loss_set, margin_set=None):
+    """Each map's (loss, margin) repr from a classifier of its own, scored by
+    empirical_risk and source_margin; margin None without a margin set."""
+    out = []
+    for fmap in family.maps:
+        c = KnnClassifier(s_tr, k, fmap)
+        margin = None if margin_set is None else repr(source_margin(c, margin_set))
+        out.append((repr(empirical_risk(c, loss_set).value), margin))
+    return out
+
+
+def _same(a, b):
+    return a.points.tobytes() == b.points.tobytes() and a.labels.tobytes() == b.labels.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    dim=st.integers(3, 4),
+    out_dim=st.integers(1, 3),
+    linear=st.booleans(),
+    n=st.integers(10, 160),
+    side=st.integers(1, 4),
+    label_count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagnostics_equal_per_map_estimators(dim, out_dim, linear, n, side, label_count, seed):
+    """Every rule's per-map losses and margins are byte-identical to
+    empirical_risk and source_margin of each map's own classifier, on tie-heavy
+    lattices, and the returned classifier is the chosen map's."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+    s = make_set(pts, rng.integers(0, label_count, n), label_count)
+    u = UnlabeledSet(rng.integers(0, side, size=(7, dim)).astype(np.float64))
+    t = make_set(u.points, rng.integers(0, label_count, 7), label_count)
+    if linear:
+        grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        maps = (linear_map(rng.choice(grid, size=(dim, out_dim))) for _ in range(4))
+        family = FeatureFamily(tuple({fmap.params_key(): fmap for fmap in maps}.values()))
+    else:
+        family = cor_family(dim, out_dim)
+
+    out = direct_generalize_nn(s, family)
+    s_tr, s_loss, s_margin, s_final = split_fractions(s, (0.25,) * 4)
+    assert [(repr(d.source_loss), repr(d.source_margin)) for d in out.diagnostics] == _per_map(
+        s_tr, k_of_n(KSchedule(), len(s_tr)), family, s_loss, s_margin
+    )
+    assert out.classifier.fmap is family[out.chosen_map_index] and _same(out.classifier.train, s_final)
+
+    out = presrv_contract_nn(s, u, family)
+    s_tr, s_loss, s_margin = split_fractions(s, (0.2,) * 5)[:3]
+    k_tr = k_of_n(KSchedule(), len(s_tr))
+    assert [(repr(d.source_loss), repr(d.source_margin)) for d in out.diagnostics] == _per_map(
+        s_tr, k_tr, family, s_loss, s_margin
+    )
+    assert out.classifier.fmap is family[out.chosen_map_index] and _same(out.classifier.train, s_tr)
+    assert out.classifier.k == k_tr
+
+    k = int(rng.integers(1, n + 1))
+    out = feature_validate(s, t, family, k)
+    assert [(repr(d.target_loss), None) for d in out.diagnostics] == _per_map(s, k, family, t)
+    assert out.classifier.fmap is family[out.chosen_map_index] and _same(out.classifier.train, s)
 
 
 class TestTargetSampleBudget:
