@@ -283,8 +283,14 @@ def cmd_sweep(args) -> int:
     grid_m = _int_list(args.grid_m, "--grid-m") if args.grid_m else [0]
     if not grid_n or args.trials < 1:
         raise UsageError("grid must be non-empty and trials >= 1")
-    if args.regime in ("unlabeled", "validate") and all(m == 0 for m in grid_m):
-        raise UsageError(f"regime {args.regime!r} needs --grid-m with positive sizes")
+    # The rules cmd_train applies to its inputs, checked before any trial runs.
+    if min(grid_n) < MIN_SOURCE_ROWS[args.regime]:
+        raise UsageError(f"regime {args.regime!r} needs --grid-n sizes of at least {MIN_SOURCE_ROWS[args.regime]}")
+    min_m = 0 if args.regime == "source-only" else 1
+    if min(grid_m) < min_m:
+        raise UsageError(f"regime {args.regime!r} needs --grid-m sizes of at least {min_m}")
+    if args.eval_n < 1:
+        raise UsageError("--eval-n must be at least 1")
     seed = args.seed
     cells = [(n, m) for n in grid_n for m in grid_m]
     jobs = [(ci, trial, n, m) for ci, (n, m) in enumerate(cells) for trial in range(args.trials)]

@@ -6,16 +6,16 @@ votes break ties toward the smallest label id. Both rules are fixed ahead
 of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
-Search is exact: every route finds the k neighbors a full stable sort of the
-squared distances puts first, in that order when ranked. The full scan votes
-without ranking: a partition finds each row's k-th smallest squared
-distance, the labels at or below it are counted, and a row with more than k
-of those gives back the labels of its last surplus ties in index order. A
-ranked list (one query's k nearest, or the k = 1 search) is a row's first
-minimum for k = 1, else a stable row sort. On 1-D images the k nearest form
-one run of sorted training positions, found by a binary search in about
-log2 k steps; a vote is one difference of prefix label counts, and a
-boundary tie with another value outside the run sends the row to the full
+Search is exact: every vote counts the labels of the k neighbors a full
+stable sort of the squared distances puts first. The full scan votes without
+ranking: a partition finds each row's k-th smallest squared distance, the
+labels at or below it are counted, and a row with more than k of those gives
+back the labels of its last surplus ties in index order. Only a ranked list
+(:func:`k_nearest`) sorts, with a stable row sort. On 1-D images the k
+nearest form one run of sorted training positions, found by a binary search
+in about log2 k steps; a vote is one difference of prefix label counts, and
+a row whose run has a neighbour at its k-th distance (a copy split by the
+run, a point mirrored across the query, or a rounding tie) goes to the full
 scan.
 
 :func:`family_votes` votes every map of a family in one call, and
@@ -87,8 +87,6 @@ class KnnClassifier:
 
     def __post_init__(self):
         _check(self.train, self.k, self.fmap)
-        # Precompute train images once; reused by every query.
-        object.__setattr__(self, "_train_z", _images(self.fmap, self.train.points))
 
 
 def _check(train: LabeledSet, k: int, fmap: FeatureMap | None) -> None:
@@ -105,65 +103,44 @@ def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) neighbor index matrix ranked by (squared distance, index).
-
-    1-D images with k = 1 take their neighbor from :func:`_sorted_runs`. Its
-    flagged rows, and every other search, scan all n training images in
-    chunks: a row's first minimum for k = 1, else a stable row sort.
-    """
-    if train_z.shape[1] == 1 and k == 1:
-        order, rorder, start, rescan = _sorted_runs(train_z[:, 0], query_z[:, 0], 1)
-        left = train_z[order[start], 0] < query_z[:, 0]
-        out, rows = np.where(left, rorder[start], order[start])[:, None], np.flatnonzero(rescan)
-    else:
-        out, rows = np.empty((query_z.shape[0], k), dtype=np.int64), np.arange(query_z.shape[0])
-    if rows.size:
-        for lo, sq in distance.sq_blocks(query_z[rows], train_z):
-            at = rows[lo : lo + sq.shape[0]]
-            out[at] = sq.argmin(axis=1)[:, None] if k == 1 else np.argsort(sq, axis=1, kind="stable")[:, :k]
+    """(m, k) neighbor index matrix ranked by (squared distance, index): a
+    stable sort of each row of the full scan."""
+    out = np.empty((query_z.shape[0], k), dtype=np.int64)
+    for lo, sq in distance.sq_blocks(query_z, train_z):
+        out[lo : lo + sq.shape[0]] = np.argsort(sq, axis=1, kind="stable")[:, :k]
     return out
 
 
-def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each query's k nearest as one run of sorted training positions.
 
-    Returns (order, rorder, start, rescan): order stable-sorts x, rorder
-    reverses the index order of each value's copies. Unless rescan[i], the k
-    nearest of q[i] sit at sorted positions [start[i], start[i] + k), read
-    through rorder below q[i] and order above, so split copies are the earliest.
+    Returns (u, start, rescan): u sorts x, in any order among equal values.
+    Unless rescan[i], the k nearest of q[i] are u[start[i] : start[i] + k].
 
     Along the sorted values d * d (the full scan's bits; rounding is monotone)
     never rises before the query's insertion point p and never falls after it.
     A binary search over the starts s in [p - k, p], clipped to [0, n - k],
     moves right while d * d at s exceeds that at s + k, so nothing outside the
-    run is nearer than its k-th, at K. A row is rescanned if a value at K lies
-    just outside and another value is at K at a run end or next to its copies.
+    run is nearer than its k-th, at K, and by the same shape nothing past a
+    neighbour of the run is nearer than that neighbour. If neither neighbour
+    is at K, the run is exactly the set at or below K, whatever the order of
+    equal values; otherwise the row is rescanned.
     """
     n = x.size
     u = np.argsort(x)  # the unstable sort is several times faster than a stable one
     xs = np.append(x[u], np.inf)  # xs[-1] and xs[n] read a +inf sentinel
-    key = np.r_[0, np.cumsum(xs[1:n] != xs[: n - 1])] * n  # n * block number, a block per value
-    order, rorder = u[np.argsort(key + u)], u[np.argsort(key - u)]  # the keys are distinct
 
-    def sq(qv, at):
-        return (qv - xs[at]) ** 2
+    def sq(at):
+        return (q - xs[at]) ** 2
 
     p = np.searchsorted(xs, q)
     s, hi = np.clip(p - k, 0, n - k), np.minimum(p, n - k)
     for _ in range(int(k).bit_length()):
         mid = (s + hi) // 2
-        right = sq(q, mid) > sq(q, mid + k)
+        right = sq(mid) > sq(mid + k)
         s, hi = np.where(right, mid + 1, s), np.where(right, hi, mid)
-    kth = np.maximum(sq(q, s), sq(q, s + k - 1))
-    rescan = (sq(q, s - 1) == kth) | (sq(q, s + k) == kth)
-    t = np.flatnonzero(rescan)
-    qt, st, kt = q[t], s[t], kth[t]
-    tied = np.where(sq(qt, st - 1) == kt, xs[st - 1], xs[st + k])
-    # tied reads the sentinel only if the k-th overflowed to +inf; b <= n keeps ends inside xs.
-    a, b = np.searchsorted(xs, tied), np.minimum(np.searchsorted(xs, tied, side="right"), n)
-    ends = np.stack([a - 1, b, st - 1, st, st + k - 1, st + k])  # next to the copies [a, b), and run ends
-    rescan[t] = ((sq(qt, ends) == kt) & ((ends < a) | (ends >= b))).any(axis=0)
-    return order, rorder, s, rescan
+    kth = np.maximum(sq(s), sq(s + k - 1))
+    return u, s, (sq(s - 1) == kth) | (sq(s + k) == kth)
 
 
 def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
@@ -172,7 +149,8 @@ def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndar
 
     train_t (C, n) and query_t (C, m) hold one image column per row, and
     maps[f] lists the rows of map f's image in column order. 1-D images vote
-    from their sorted runs, the others from one shared full scan.
+    from their sorted runs, the other maps and the rescanned rows from the
+    full scan.
     """
     votes = np.empty((len(maps), query_t.shape[1]), dtype=np.int64)
     scan = [f for f, cols in enumerate(maps) if len(cols) > 1]
@@ -185,13 +163,13 @@ def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndar
 
 
 def _run_votes(x: np.ndarray, q: np.ndarray, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
-    """Votes on 1-D images x (training) and q (queries) from :func:`_sorted_runs`;
-    its flagged rows go to the full scan."""
-    order, rorder, start, rescan = _sorted_runs(x, q, k)
-    # Label counts of sorted positions [0, i); the orders agree at block ends, so a run's are one difference.
-    hot = np.vstack([np.zeros(label_count, dtype=bool), labels[:, None] == np.arange(label_count)])
-    pref, rpref = (np.cumsum(hot[np.r_[0, o + 1]], axis=0) for o in (order, rorder))
-    votes = (pref[start + k] - rpref[start]).argmax(axis=1)
+    """Votes on 1-D images x (training) and q (queries), each one difference of
+    prefix label counts over its run from :func:`_sorted_runs`; its rescanned
+    rows go to the full scan."""
+    u, start, rescan = _sorted_runs(x, q, k)
+    hot = np.vstack([np.zeros(label_count, dtype=bool), labels[u, None] == np.arange(label_count)])
+    pref = np.cumsum(hot, axis=0)  # label counts of sorted positions [0, i)
+    votes = (pref[start + k] - pref[start]).argmax(axis=1)
     rows = np.flatnonzero(rescan)
     if rows.size:
         votes[rows] = _threshold_votes(x[None], q[None, rows], [[0]], labels, label_count, k)[0]
@@ -268,8 +246,9 @@ def _columns(maps, train_points: np.ndarray, query_points: np.ndarray) -> tuple[
 
 
 def family_votes(train: LabeledSet, k: int, maps, queries: UnlabeledSet) -> np.ndarray:
-    """(len(maps), m) array whose row f is :func:`predict_batch` of
-    KnnClassifier(train, k, maps[f]) on `queries`; a map may be None.
+    """(len(maps), m) votes: row f holds each query's plurality label among
+    its k nearest training points under maps[f] (None: the points
+    themselves), ties toward the smallest label id.
 
     The maps share one call: each distinct image column is laid out once,
     and the full scan computes its plane once per tile for every map that
@@ -287,12 +266,12 @@ def family_votes(train: LabeledSet, k: int, maps, queries: UnlabeledSet) -> np.n
 
 def k_nearest(train: LabeledSet, query, k: int, fmap: FeatureMap | None = None) -> list[int]:
     """Indices of the k nearest training points to `query`, tie-broken by order."""
-    c = KnnClassifier(train, k, fmap)
+    _check(train, k, fmap)
     q = as_point(query)
     if q.shape[0] != train.dim:
         raise ValueError("query dimension does not match training set")
-    query_z = _images(fmap, q.reshape(1, -1))
-    return [int(i) for i in _neighbor_indices(c._train_z, query_z, k)[0]]
+    nearest = _neighbor_indices(_images(fmap, train.points), _images(fmap, q.reshape(1, -1)), k)
+    return [int(i) for i in nearest[0]]
 
 
 def predict(c: KnnClassifier, query) -> int:
@@ -302,10 +281,4 @@ def predict(c: KnnClassifier, query) -> int:
 
 def predict_batch(c: KnnClassifier, queries: UnlabeledSet) -> np.ndarray:
     """Elementwise :func:`predict` over an ordered query set."""
-    if queries.dim != c.train.dim:
-        raise ValueError("query dimension does not match training set")
-    if len(queries) == 0:
-        return np.empty(0, dtype=np.int64)
-    query_t = np.ascontiguousarray(_images(c.fmap, queries.points).T)
-    cols = [range(query_t.shape[0])]
-    return _votes(np.ascontiguousarray(c._train_z.T), query_t, cols, c.train.labels, c.train.label_count, c.k)[0]
+    return family_votes(c.train, c.k, [c.fmap], queries)[0]

@@ -23,7 +23,7 @@ import numpy as np
 from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema, write_json
 from .distance import min_pair_sq, min_sq, min_sq_by_label, sq_blocks
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
-from .knn import _neighbor_indices
+from .knn import family_votes
 
 __all__ = [
     "SceneComponent",
@@ -528,12 +528,11 @@ def induced_source_labeler(
     """
     fmap = problem.family[map_index]
     pts, _ = _sample_points(problem.source, dense_n, seed.substream(21))
-    support_z = apply_batch(fmap, pts)
-    support_labels = bayes_labels_batch(problem.source, pts)
+    support = LabeledSet(pts, bayes_labels_batch(problem.source, pts), problem.source.label_count)
 
     def labeler(points: np.ndarray) -> np.ndarray:
-        z = apply_batch(fmap, np.asarray(points, dtype=np.float64))
-        return support_labels[_neighbor_indices(support_z, z, 1)[:, 0]]
+        # A k = 1 vote is the label of the first nearest image.
+        return family_votes(support, 1, [fmap], UnlabeledSet(points))[0]
 
     return labeler
 
@@ -571,7 +570,7 @@ def twin_targets(
         [_component_points(target, ci, probe_n, seed.substream(33, ci)) for ci in range(len(target.components))]
     )
     for idx in (map1_index, map2_index):
-        # One labeler call for every component's probes; the k = 1 search
+        # One labeler call for every component's probes; the k = 1 vote
         # labels each row on its own, so the votes split back per component.
         votes = induced_source_labeler(problem, idx, dense_n, seed.substream(32, idx))(probes)
         comps = []

@@ -261,6 +261,22 @@ class TestSweep:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--regime", "source-only", "--grid-n=-5"],
+        ["--regime", "source-only", "--grid-n", "4"],
+        ["--regime", "unlabeled", "--grid-n", "100", "--grid-m", "0,20"],
+        ["--regime", "source-only", "--grid-n", "100", "--eval-n", "0"],
+    ])
+    def test_unusable_grid_values_exit_2(self, tmp_path, flags, capsys):
+        # Each would fail every trial with a ValueError; none may start.
+        rc = main([
+            "sweep", "--panel", "a", *flags, "--trials", "1",
+            "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(tmp_path / "x.json"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
 
 @pytest.mark.slow
 def test_sweep_risk_curve_non_increasing(tmp_path):

@@ -10,7 +10,8 @@ threshold votes on lattices of dim 1-3, on rows where every point ties and
 on groups so far apart that squared distances overflow to +inf.
 The nearest-reference routes (the sorted 1-D `min_sq`, the strip search
 behind `min_sq`, `min_sq_by_label` and `min_pair_sq` on images of dim 2-4,
-the k = 1 search behind the induced labeler and the certify unify scan) are
+the k = 1 search, the k = 1 vote behind the induced labeler, on the sorted
+run and on the full scan, and the certify unify scan) are
 compared bit for bit with full scans on the same kinds of lattices, on
 floats whose squares underflow, on far and collinear clouds and on copies.
 The kernel's bits are checked against a coordinate-order plane sum for
@@ -231,11 +232,9 @@ def test_run_vote_matches_stable_sort_oracle(case, label_count, seed, forced):
         assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], label_count))
         if train.shape[1] > 1:
             return
-        order, rorder, start, rescan = _sorted_runs(train[:, 0], queries[:, 0], k)
-    split = np.searchsorted(train[order, 0], queries[:, 0])  # rorder reads the run's positions below it
+        u, start, rescan = _sorted_runs(train[:, 0], queries[:, 0], k)
     for i in np.flatnonzero(~rescan):
-        run = np.r_[rorder[start[i] : split[i]], order[split[i] : start[i] + k]]
-        assert sorted(run) == sorted(oracle[i])
+        assert sorted(u[start[i] : start[i] + k]) == sorted(oracle[i])
 
 
 @st.composite
@@ -489,13 +488,17 @@ def test_k1_search_matches_first_argmin(case, forced):
     sq = _full_sq(queries, refs)
     want = np.argsort(sq, axis=1, kind="stable")[:, 0]
     # A zero last coordinate keeps every squared distance's bits and sends
-    # every row, 1-D ones included, through the full scan's first row minimum.
+    # 1-D rows through the full scan's vote instead of the sorted run. Labels
+    # cycle, so most tied references differ in label.
     pad = [np.c_[p, np.zeros(p.shape[0])] for p in (refs, queries)]
-    assert np.array_equal(_neighbor_indices(*pad, 1)[:, 0], want)
+    labels = np.arange(refs.shape[0]) % 5
     budget = rows * refs.size if forced else distance.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance, "CHUNK_ENTRIES", budget)
         assert np.array_equal(_neighbor_indices(refs, queries, 1)[:, 0], want)
+        for r, q in ((refs, queries), pad):
+            clf = KnnClassifier(LabeledSet(r, labels, 5), 1)
+            assert np.array_equal(predict_batch(clf, UnlabeledSet(q)), labels[want])
 
 
 @st.composite

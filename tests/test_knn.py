@@ -16,7 +16,7 @@ from sirmnn.knn import (
     predict,
     predict_batch,
 )
-from sirmnn.scenarios import PanelGeometry, figure1_panel, sample
+from sirmnn.scenarios import PanelGeometry, figure1_panel, induced_source_labeler, sample
 
 from test_core import make_set
 
@@ -136,6 +136,28 @@ class TestPredict:
         train_t, query_t = np.arange(12.0)[None], np.zeros((1, 1))
         assert [int(_threshold_votes(train_t, query_t, [[0]], row, label_count, 12)[0, 0]) for row in labels] == votes.tolist()
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_full_scan_counts_past_2048_exactly(self, ties):
+        # 4097 points at or below the k-th distance, 2049 of label 1 and 2048
+        # of label 0: label 1 wins, but a float16 count holds 2049 as 2048 and
+        # the tie would go to label 0. With ties every point sits on the query
+        # and the last 100, all label 0, are surplus; without, the k nearest
+        # lie at distinct radii, and 500 far points of label 0 follow.
+        rng = np.random.default_rng(7)
+        k = 4097
+        labels = rng.permutation(np.r_[np.ones(2049, dtype=np.int64), np.zeros(2048, dtype=np.int64)])
+        labels = np.r_[labels, np.zeros(100 if ties else 500, dtype=np.int64)]
+        if ties:
+            train = np.ones((labels.size, 2))
+        else:
+            radii = np.r_[rng.permutation(np.arange(1, k + 1)), np.arange(1, 501) + 2 * k] / (3 * k)
+            angles = rng.uniform(0, 2 * np.pi, size=labels.size)
+            train = 1.0 + radii[:, None] * np.c_[np.cos(angles), np.sin(angles)]
+        queries = np.ones((3, 2))
+        oracle = np.argsort(((queries[:, None, :] - train[None]) ** 2).sum(axis=2), axis=1, kind="stable")[:, :k]
+        assert _vote(labels[oracle], 2).tolist() == [1, 1, 1]
+        assert predict_batch(KnnClassifier(LabeledSet(train, labels, 2), k), UnlabeledSet(queries)).tolist() == [1, 1, 1]
+
     def test_dimension_mismatch(self):
         train = make_set([[0.0, 0.0]], [0])
         clf = KnnClassifier(train, 1)
@@ -174,7 +196,7 @@ class TestPredictBatch:
         for fmap in proj_family_random(3, 2, 4, SeedSpec(1)).maps:
             clf = KnnClassifier(train, 6, fmap)
             batch = predict_batch(clf, UnlabeledSet(queries))
-            idx = _neighbor_indices(clf._train_z, apply_batch(fmap, queries), 6)
+            idx = _neighbor_indices(apply_batch(fmap, train.points), apply_batch(fmap, queries), 6)
             for i, q in enumerate(queries):
                 assert predict(clf, q) == batch[i]
                 assert k_nearest(train, q, 6, fmap) == idx[i].tolist()
@@ -192,10 +214,13 @@ def _blocks_of_copies(rng, offset, m):
 @pytest.mark.parametrize("case", ["gaussian", "split_at_right_end", "split_at_left_end"])
 @pytest.mark.parametrize("k", [1, 75])
 def test_1d_search_takes_the_run_route(monkeypatch, case, k):
-    """On 1-D images without mirrored or rounding ties, votes and k = 1
-    searches come from the sorted run alone: no row is scanned in full. k = 75
-    takes one whole block of 50 copies and splits the next one at the end the
-    case names; k = 1 splits the nearest block at its end nearest the query."""
+    """On 1-D images without copies, mirrored or rounding ties, votes come
+    from the sorted run alone: no row is scanned in full, through
+    predict_batch and, for k = 1, the induced labeler of a figure-1 panel.
+    Blocks of copies vote as the stable-sort oracle does: k = 75 takes one
+    whole block of 50 copies and splits the next one at the end the case
+    names, k = 1 splits the nearest block at its end nearest the query, and
+    the split rows are rescanned."""
     rng = np.random.default_rng(0)
     if case == "gaussian":
         train, queries = rng.normal(size=(2000, 1)), rng.normal(size=(500, 1))
@@ -203,14 +228,19 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
         train, queries = _blocks_of_copies(rng, 0.25 if case == "split_at_right_end" else 0.75, 500)
     labels = rng.integers(0, 3, size=train.shape[0])
     oracle = np.argsort((queries - train.T) ** 2, axis=1, kind="stable")[:, :k]
+    if case == "gaussian" and k == 1:
+        prob = figure1_panel("c")
+        labeler = induced_source_labeler(prob, 0, 2000, SeedSpec(0))
+        probes = sample(prob.target, 500, SeedSpec(1)).points
     scans = []
-    plane_tiles = distance.plane_tiles  # behind every full scan, sq_blocks included
+    plane_tiles = distance.plane_tiles  # behind every full scan
     monkeypatch.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
     clf = KnnClassifier(LabeledSet(train, labels, 3), k)
     assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], 3))
-    if k == 1:
-        assert np.array_equal(_neighbor_indices(train, queries, 1), oracle)
-    assert scans == []
+    if case == "gaussian" and k == 1:
+        labeler(probes)
+    if case == "gaussian":
+        assert scans == []
 
 
 class TestClassifierProperties:
