@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,8 +345,7 @@ def shattering_search(
         raise ValueError("target_size must be in [1, len(quadruples)]")
     if any(q.dim != family.input_dim for q in quadruples):
         raise ValueError(f"quadruple dims {sorted({q.dim for q in quadruples})}, family dim {family.input_dim}")
-    needed = 2**target_size
-    if len(family) < needed:
+    if len(family) < 2**target_size:
         # A family can realize at most |family| dichotomies: definitive no.
         return ShatteringVerdict("none", target_size, candidates_checked=0)
 
@@ -357,39 +355,29 @@ def shattering_search(
     # Column j as one integer with bit i set when map i's comparer bit is 1.
     packed = np.packbits(bits, axis=0, bitorder="little")
     cols = [int.from_bytes(packed[:, j].tobytes(), "little") for j in range(n)]
+    # stack is the shattered prefix and groups[d] the maps of each dichotomy
+    # of stack[:d], as bitmasks: column j extends the prefix iff it splits
+    # every group in two. j is the next candidate at the stack's depth.
     stack: list[int] = []
-
-    def extend(start: int, groups: list[int]) -> tuple[int, ...] | None | str:
-        # `groups` holds the maps of each dichotomy of the shattered stack, as
-        # bitmasks. Adding column j shatters iff j splits every group in two.
-        # The search is pure Python: yield the interpreter lock once per node,
-        # or another thread's next numpy call waits out a switch interval.
-        nonlocal checked
-        time.sleep(0)
-        for j in range(start, n - (target_size - len(stack) - 1)):
-            if checked >= max_candidates:
-                return "budget"
-            checked += 1
-            split = _split_all(groups, cols[j])
-            if split is None:
-                continue
+    groups = [[(1 << len(family)) - 1]]
+    j = 0
+    while len(stack) < target_size:
+        if j > n - target_size + len(stack):
+            if not stack:
+                return ShatteringVerdict("none", target_size, candidates_checked=checked)
+            j = stack.pop() + 1
+            groups.pop()
+            continue
+        if checked >= max_candidates:
+            return ShatteringVerdict("inconclusive", target_size, candidates_checked=checked)
+        checked += 1
+        split = _split_all(groups[-1], cols[j])
+        if split is not None:
             stack.append(j)
-            if len(stack) == target_size:
-                return tuple(stack)
-            result = extend(j + 1, split)
-            stack.pop()
-            if result is not None:
-                return result
-        return None
-
-    result = extend(0, [(1 << len(family)) - 1])
-    if result == "budget":
-        return ShatteringVerdict("inconclusive", target_size, candidates_checked=checked)
-    if result is None:
-        return ShatteringVerdict("none", target_size, candidates_checked=checked)
-    witness = result
-    dichos = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
-    return ShatteringVerdict("found", target_size, witness=witness, dichotomies=dichos, candidates_checked=checked)
+            groups.append(split)
+        j += 1
+    dichos = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, stack]}))
+    return ShatteringVerdict("found", target_size, tuple(stack), dichos, candidates_checked=checked)
 
 
 def _split_all(groups: list[int], col: int) -> list[int] | None:

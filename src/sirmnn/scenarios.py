@@ -14,6 +14,7 @@ be decided exactly from samples.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -245,6 +246,14 @@ class ShiftProblem:
             raise ValueError("source, target, and family dimensions must agree")
         if self.ground_truth is not None:
             object.__setattr__(self, "ground_truth", tuple(int(i) for i in self.ground_truth))
+            for i in self.ground_truth:
+                self.feature_map(i)
+
+    def feature_map(self, index: int) -> FeatureMap:
+        """The family's map at `index`, which must lie in [0, len(family))."""
+        if not 0 <= index < len(self.family):
+            raise ValueError(f"map index {index} is out of range for a family of {len(self.family)} maps")
+        return self.family[index]
 
     def to_json(self) -> dict:
         return {
@@ -406,14 +415,8 @@ class CertReport:
 
 def _min_cross_label_distance(z: np.ndarray, labels: np.ndarray) -> float:
     """Smallest map-space distance between points of different labels."""
-    best = math.inf
-    for lab in np.unique(labels):
-        mask = labels == lab
-        za, zb = z[mask], z[labels > lab]
-        if za.size == 0 or zb.size == 0:
-            continue
-        best = min(best, min_pair_sq(za, zb))
-    return math.sqrt(best) if best < math.inf else math.inf
+    pairs = (min_pair_sq(z[labels == lab], z[labels > lab]) for lab in np.unique(labels)[:-1])
+    return math.sqrt(min(pairs, default=math.inf))
 
 
 def certify(
@@ -432,7 +435,7 @@ def certify(
     """
     budget = budget or CertBudget()
     seed = seed or SeedSpec(0)
-    fmap = problem.family[map_index]
+    fmap = problem.feature_map(map_index)
 
     src_pts, _ = _sample_points(problem.source, budget.n_source, seed.substream(11))
     tgt_pts, _ = _sample_points(problem.target, budget.n_target, seed.substream(12))
@@ -459,29 +462,23 @@ def certify(
         near = min_sq(zt, zs)[None, :]
     beta_hat = float(np.sqrt(near.min(axis=0).max()))
 
-    if preserves != "pass":
+    if preserves == "pass":
+        bound = rho_hat / budget.lambda_
+        if beta_hat < bound - budget.contract_tol:
+            contracts = "pass"
+        elif beta_hat > bound + budget.contract_tol:
+            contracts = "fail"
+        else:
+            contracts = "inconclusive"
+        worst = _worst_unify_violation(near, zt, tgt_bayes, zs, src_bayes, rho_hat / 2.0)
+        unifies = "pass" if worst is None else "fail"
+    else:
         # Both downstream properties are defined relative to the induced
         # margin; without a certified margin they cannot be decided.
         contracts = "fail" if preserves == "fail" else "inconclusive"
-        unifies = "inconclusive"
-        return CertReport(
-            map_index, preserves, contracts, unifies, rho_hat, beta_hat, None,
-            budget.n_source, budget.n_target,
-        )
-
-    bound = rho_hat / budget.lambda_
-    if beta_hat < bound - budget.contract_tol:
-        contracts = "pass"
-    elif beta_hat > bound + budget.contract_tol:
-        contracts = "fail"
-    else:
-        contracts = "inconclusive"
-
-    worst = _worst_unify_violation(near, zt, tgt_bayes, zs, src_bayes, rho_hat / 2.0)
-    unifies = "pass" if worst is None else "fail"
+        unifies, worst = "inconclusive", None
     return CertReport(
-        map_index, preserves, contracts, unifies, rho_hat, beta_hat, worst,
-        budget.n_source, budget.n_target,
+        map_index, preserves, contracts, unifies, rho_hat, beta_hat, worst, budget.n_source, budget.n_target
     )
 
 
@@ -526,7 +523,7 @@ def induced_source_labeler(
     Returns a function mapping an (n, D) point array to label ids. Among
     equally near sample images, the one drawn first wins.
     """
-    fmap = problem.family[map_index]
+    fmap = problem.feature_map(map_index)
     pts, _ = _sample_points(problem.source, dense_n, seed.substream(21))
     support = LabeledSet(pts, bayes_labels_batch(problem.source, pts), problem.source.label_count)
 
@@ -557,6 +554,7 @@ def twin_targets(
     seed = seed or SeedSpec(0)
     budget = budget or CertBudget()
     for idx in (map1_index, map2_index):
+        problem.feature_map(idx)  # range-checked before it seeds a substream
         report = certify(problem, idx, budget, seed.substream(31, idx))
         if not report.passes("preserves", "contracts"):
             raise ValueError(
@@ -616,16 +614,18 @@ def perturb_source(
     placed clear of the existing support, keeping the total inserted plus
     removed mass within eps_budget.
 
-    Raises when the two maps coincide, when map2 never strays from the
-    induced source support, or when no clear placement exists.
+    Raises when an index names no map, when the two maps coincide, when the
+    source has one label, when map2 never strays from the induced source
+    support, or when no clear placement exists.
     """
+    fmap1, fmap2 = problem.feature_map(map1_index), problem.feature_map(map2_index)
     if map1_index == map2_index:
         raise ValueError("construction requires two distinct maps")
+    if problem.source.label_count < 2:
+        raise ValueError(f"construction requires at least two source labels, got {problem.source.label_count}")
     if eps_budget <= 0 or eps_budget >= 1:
         raise ValueError("eps_budget must lie in (0, 1)")
     seed = seed or SeedSpec(0)
-    fmap1 = problem.family[map1_index]
-    fmap2 = problem.family[map2_index]
     dense_n = 4000
 
     src_pts, _ = _sample_points(problem.source, dense_n, seed.substream(51))
@@ -715,17 +715,11 @@ def _place_four_balls(problem, fmap1, fmap2, x, y1, y2, s, seed):
                 return False
         return True
 
-    for t1 in offsets:
-        x1 = x + t1 * null1[0]
-        for h1 in image_steps:
-            x1p = x1 + h1 * row1 + (t1 / 2) * null1[0]
-            for t2 in offsets:
-                x2 = x + t2 * null2[0]
-                for h2 in image_steps:
-                    x2p = x2 + h2 * row2 + (t2 / 2) * null2[0]
-                    pts = np.stack([x1, x1p, x2, x2p])
-                    if ok(pts):
-                        return list(pts), labs
+    for t1, h1, t2, h2 in itertools.product(offsets, image_steps, offsets, image_steps):
+        x1, x2 = x + t1 * null1[0], x + t2 * null2[0]
+        pts = np.stack([x1, x1 + h1 * row1 + (t1 / 2) * null1[0], x2, x2 + h2 * row2 + (t2 / 2) * null2[0]])
+        if ok(pts):
+            return list(pts), labs
     raise ValueError("geometry cannot host the four disjoint balls")
 
 

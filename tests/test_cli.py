@@ -438,6 +438,9 @@ class TestExitCodes:
                      "component weight", id="nan-weight"),
         pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"], _panel_a_with("radius", math.inf),
                      "component radius", id="infinite-radius"),
+        pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"],
+                     json.dumps({**figure1_panel("a").to_json(), "ground_truth": [2]}),
+                     "map index 2 is out of range for a family of 2 maps", id="ground-truth-past-family"),
     ])
     def test_bad_json_file_exits_2(self, tmp_path, argv, text, key, capsys):
         spec = tmp_path / "f.json"

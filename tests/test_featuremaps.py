@@ -375,7 +375,18 @@ class TestShatteringSearch:
     def test_refinement_matches_packed_code_count(self):
         # Random bit matrices whose searches end in every status: the group
         # refinement must give the verdict, witness, dichotomies and
-        # candidate count of the packed-code count.
+        # candidate count of the packed-code count. Each matrix is also
+        # searched on the budget boundaries: none at all, exactly the count
+        # at which a witness turns up, and one short of it.
+        def check(bits, size, budget):
+            verdict = _search_on_bits(bits, size, budget)
+            status, witness, checked = _reference_search(bits, size, budget, _packed_code_count)
+            assert (verdict.status, verdict.witness, verdict.candidates_checked) == (status, witness, checked)
+            if witness is not None:
+                want = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
+                assert verdict.dichotomies == want
+            return status, checked
+
         rng = np.random.default_rng(7)
         statuses = set()
         for _ in range(120):
@@ -383,13 +394,12 @@ class TestShatteringSearch:
             maps = int(rng.integers(2**size, 80))
             bits = (rng.random((maps, int(rng.integers(size, 16)))) < rng.choice([0.2, 0.5, 0.8])).astype(np.uint8)
             budget = int(rng.choice([5, 60, 200_000]))
-            verdict = _search_on_bits(bits, size, budget)
-            status, witness, checked = _reference_search(bits, size, budget, _packed_code_count)
-            assert (verdict.status, verdict.witness, verdict.candidates_checked) == (status, witness, checked)
-            if witness is not None:
-                want = tuple(sorted({tuple(int(v) for v in row) for row in bits[:, list(witness)]}))
-                assert verdict.dichotomies == want
-            statuses.add(status)
+            statuses.add(check(bits, size, budget)[0])
+            assert check(bits, size, 0) == ("inconclusive", 0)
+            status, checked = check(bits, size, 200_000)
+            if status == "found":
+                assert check(bits, size, checked) == ("found", checked)
+                assert check(bits, size, checked - 1) == ("inconclusive", checked - 1)
         assert statuses == {"found", "none", "inconclusive"}
 
     def test_quadruple_dims_checked_up_front(self):

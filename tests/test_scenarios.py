@@ -25,6 +25,7 @@ from sirmnn.scenarios import (
     bayes_risk,
     certify,
     figure1_panel,
+    induced_source_labeler,
     perturb_source,
     sample,
     sample_unlabeled,
@@ -187,6 +188,26 @@ class TestSceneValidation:
         back = ShiftProblem.load(path)
         assert back.to_json() == prob.to_json()
 
+    @pytest.mark.parametrize("ground_truth, bad", [((2,), 2), ((-1,), -1), ((1, 5), 5)])
+    def test_ground_truth_must_name_a_map(self, ground_truth, bad):
+        base = figure1_panel("a")
+        with pytest.raises(ValueError, match=rf"map index {bad} is out of range for a family of 2 maps"):
+            ShiftProblem(base.source, base.target, base.family, ground_truth)
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(lambda: certify(figure1_panel("a"), -1, seed=SeedSpec(1)), -1, id="certify-negative"),
+    pytest.param(lambda: certify(figure1_panel("a"), 2, seed=SeedSpec(1)), 2, id="certify-past-end"),
+    pytest.param(lambda: perturb_source(figure1_panel("b"), 1, -2, 0.08), -2, id="perturb-negative"),
+    # -1 names map 1 too, so this pair would pass a plain "distinct" test.
+    pytest.param(lambda: perturb_source(figure1_panel("b"), 1, -1, 0.08), -1, id="perturb-same-map-negative"),
+    pytest.param(lambda: twin_targets(figure1_panel("c"), -2, -1), -2, id="twin-negative"),
+    pytest.param(lambda: induced_source_labeler(figure1_panel("c"), 2, 100, SeedSpec(0)), 2, id="labeler-past-end"),
+])
+def test_map_index_outside_family_rejected(call, bad):
+    with pytest.raises(ValueError, match=rf"map index {bad} is out of range for a family of 2 maps"):
+        call()
+
 
 class TestCertify:
     def test_identity_problem_all_pass(self):
@@ -322,6 +343,15 @@ class TestPerturbSource:
         risk1 = empirical_risk(clf, e1).value
         risk2 = empirical_risk(clf, e2).value
         assert risk1 + risk2 == pytest.approx(1.0)
+
+    def test_one_label_source_errors(self):
+        # map 1 (the y-projection) lets the target escape, so only the label
+        # count stops the construction.
+        source = Scene(2, (SceneComponent((0.0, 0.0), 0.5, 0, 1.0),), 1)
+        target = Scene(2, (SceneComponent((0.0, 3.0), 0.5, 0, 1.0),), 1)
+        prob = ShiftProblem(source, target, cor_family(2, 1))
+        with pytest.raises(ValueError, match="at least two source labels, got 1"):
+            perturb_source(prob, 0, 1, eps_budget=0.08, seed=SeedSpec(28))
 
     def test_no_escape_errors(self):
         # identical source and target: no map lets the target escape
