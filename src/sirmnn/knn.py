@@ -7,16 +7,26 @@ of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
 Search is exact: every vote counts the labels of the k neighbors a full
-stable sort of the squared distances puts first. The full scan votes without
-ranking: a partition finds each row's k-th smallest squared distance, the
+stable sort of the squared distances puts first. The full scan votes from
+float32 order keys. Each squared distance is rounded to float32 once, and
+rounding is monotone, so a smaller key always means a strictly smaller
+squared distance. A sort of each row's keys, in blocks of at most BLOCK
+columns whose k + 1 smallest are then sorted together, gives the row's k-th
+key t and its (k+1)-th. The blocks keep the sort's cost per entry from
+growing with n. If the two keys differ, exactly k keys are at or below t,
+their points are the k nearest with no tie at the boundary, and their labels
+are counted. A row whose (k+1)-th key equals t (a tie in float32 or in
+float64, or keys that overflow to +inf or underflow to 0) takes the exact
+float64 route: a partition finds its k-th smallest squared distance, the
 labels at or below it are counted, and a row with more than k of those gives
-back the labels of its last surplus ties in index order. Only a ranked list
-(:func:`k_nearest`) sorts, with a stable row sort. On 1-D images the k
-nearest form one run of sorted training positions, found by a binary search
-in about log2 k steps; a vote is one difference of prefix label counts, and
-a row whose run has a neighbour at its k-th distance (a copy split by the
-run, a point mirrored across the query, or a rounding tie) goes to the full
-scan.
+back the labels of its last surplus ties in index order. So every vote has
+the bits of the stable-sort vote. Only a ranked list (:func:`k_nearest`)
+keeps the order of the neighbours, with a stable row sort. On 1-D images the
+k nearest form one run of sorted training positions, found by a binary
+search in about log2 k steps; a vote is one difference of prefix label
+counts, and a row whose run has a neighbour at its k-th distance (a copy
+split by the run, a point mirrored across the query, or a rounding tie) ties
+there in float64 too, so it goes straight to the exact route.
 
 :func:`family_votes` votes every map of a family in one call, and
 :func:`predict_batch` is its one-map case. Each distinct image column (a
@@ -25,7 +35,7 @@ reads it, or a linear map's own column) is laid out once. A 1-D image takes
 one sorted run over all the queries. The other maps share one full scan over
 row tiles of :func:`distance.plane_tiles`: the tile budget is counted over
 the distinct columns, each column's plane is computed once per tile, and
-each map adds its own planes. The scan's sum, partition scratch and 0/1
+each map adds its own planes. The scan's keys, sort blocks, merge and 0/1
 mask are allocated once per call and reused for every tile and map, as is
 the tile itself, so a tile's values are valid only until the next step.
 """
@@ -42,6 +52,8 @@ from .core import LabeledSet, UnlabeledSet, as_point
 from .featuremaps import FeatureMap, apply_batch
 
 __all__ = ["KSchedule", "k_of_n", "KnnClassifier", "k_nearest", "predict", "predict_batch", "family_votes"]
+
+BLOCK = 512  # most columns of one block of the full scan's float32 row sort
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,8 @@ def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndar
 
     train_t (C, n) and query_t (C, m) hold one image column per row, and
     maps[f] lists the rows of map f's image in column order. 1-D images vote
-    from their sorted runs, the other maps and the rescanned rows from the
-    full scan.
+    from their sorted runs (rescanned rows by :func:`_tie_votes`), the other
+    maps from the full scan.
     """
     votes = np.empty((len(maps), query_t.shape[1]), dtype=np.int64)
     scan = [f for f, cols in enumerate(maps) if len(cols) > 1]
@@ -164,60 +176,128 @@ def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndar
 
 def _run_votes(x: np.ndarray, q: np.ndarray, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
     """Votes on 1-D images x (training) and q (queries), each one difference of
-    prefix label counts over its run from :func:`_sorted_runs`; its rescanned
-    rows go to the full scan."""
+    prefix label counts over its run from :func:`_sorted_runs`. A rescanned
+    row ties at its k-th squared distance by construction, so it goes straight
+    to :func:`_tie_votes` on its float64 row."""
     u, start, rescan = _sorted_runs(x, q, k)
     hot = np.vstack([np.zeros(label_count, dtype=bool), labels[u, None] == np.arange(label_count)])
     pref = np.cumsum(hot, axis=0)  # label counts of sorted positions [0, i)
     votes = (pref[start + k] - pref[start]).argmax(axis=1)
     rows = np.flatnonzero(rescan)
     if rows.size:
-        votes[rows] = _threshold_votes(x[None], q[None, rows], [[0]], labels, label_count, k)[0]
+        hot = _one_hot(labels, label_count)
+        for lo, sq in distance.sq_blocks(q[rows, None], x[:, None]):
+            votes[rows[lo : lo + sq.shape[0]]] = _tie_votes(sq, labels, hot, k)
     return votes
+
+
+def _one_hot(labels: np.ndarray, label_count: int) -> np.ndarray:
+    """(n, label_count) 0/1 label matrix; a product with a 0/1 mask counts
+    labels exactly: sums of integers below 2**24 in float32 (2**53 in
+    float64), in any BLAS summation order."""
+    dtype = np.float32 if labels.size < 2**24 else np.float64
+    return (labels[:, None] == np.arange(label_count)).astype(dtype)
 
 
 def _threshold_votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
     """:func:`_votes` from a full scan of every map on shared plane tiles.
 
     Each tile holds one plane per distinct column the maps read, and a map's
-    squared distances are its planes' sum. Nothing is ranked. A row's k
-    nearest under (squared distance, index) are its columns below its k-th
-    smallest value, plus the first of the columns equal to it, in column
-    order, up to k. So the row's label counts at or below that value, less
-    those of its last `excess` equal columns, are the counts of its k
-    nearest. The counts are products of 0/1 matrices: sums of integers below
-    2**24 in float32 (2**53 in float64), exact in any BLAS summation order.
-    The sum, the partition scratch and the 0/1 mask are allocated once.
+    squared distances are its planes' sum. Nothing is ranked. Each sum is
+    rounded to a float32 key; rounding is monotone, so a smaller key always
+    means a strictly smaller squared distance. A row's k-th key t and its
+    (k+1)-th come from sorting a copy of its keys in blocks of at most BLOCK
+    columns (and a +inf sentinel, so a (k+1)-th exists at k = n), then, with
+    more than one block, sorting the k + 1 smallest of every block together.
+    If the (k+1)-th key exceeds t, exactly k keys are <= t, and their points
+    are nearer than every other, so they are the k nearest under (squared
+    distance, index) with no tie at the boundary: the row's label counts are
+    one product of the 0/1 mask key <= t with the one-hot labels. A row whose
+    (k+1)-th key equals t (a float32 tie, overflow to +inf, underflow to 0,
+    or a float64 tie) goes to :func:`_tie_votes` on its float64 sums. The
+    keys, the block sort, the merge and the 0/1 mask are allocated once.
     """
     used = sorted({c for cols in maps for c in cols})
     slot = {c: i for i, c in enumerate(used)}
     maps = [[slot[c] for c in cols] for cols in maps]
     n, m = train_t.shape[1], query_t.shape[1]
-    dtype = np.float32 if n < 2**24 else np.float64
-    hot = (labels[:, None] == np.arange(label_count)).astype(dtype)
+    hot = _one_hot(labels, label_count)
     rows = min(distance.tile_rows(n, len(used)), m)
-    sum_buf, part_buf, mask_buf = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=dtype)
+    blocks = -(-(n + 1) // BLOCK)
+    width = -(-(n + 1) // blocks)  # blocks * width >= n + 1: at least one +inf pad
+    key_buf, mask_buf = np.empty((rows, n), dtype=np.float32), np.empty((rows, n), dtype=hot.dtype)
+    sort_buf = np.full((rows, blocks, width), np.inf, dtype=np.float32)
+    merge_buf = np.empty((rows, blocks, min(k + 1, width)), dtype=np.float32)
+    sum_buf = np.empty((rows, n)) if any(len(cols) > 2 for cols in maps) else None
     votes = np.empty((len(maps), m), dtype=np.int64)
     for lo, planes in distance.plane_tiles(query_t[used], train_t[used]):
         r = planes.shape[1]
-        for f, cols in enumerate(maps):
-            sq = distance.plane_sum(planes, cols, out=sum_buf[:r])
-            part = part_buf[:r]
-            part[...] = sq
-            part.partition(k - 1, axis=1)
-            kth = part[:, k - 1 : k]
-            counts = np.less_equal(sq, kth, out=mask_buf[:r]) @ hot
-            excess = counts.sum(axis=1).astype(np.int64) - k
-            if excess.any():
-                rows_at, cols_at = np.divmod(np.flatnonzero(sq == kth), n)  # each row's equal columns, in order
-                ends = np.searchsorted(rows_at, np.arange(1, r + 1))
-                # ends[rows_at] - i is 1 at a row's last equal column, 2 at the one before it, ...
-                last = np.flatnonzero(ends[rows_at] - np.arange(rows_at.size) <= excess[rows_at])
-                counts -= np.bincount(
-                    rows_at[last] * label_count + labels[cols_at[last]], minlength=counts.size
-                ).reshape(counts.shape)
-            votes[f, lo : lo + r] = counts.argmax(axis=1)
+        key = key_buf[:r]
+        with np.errstate(over="ignore"):  # a float64 sum past the float32 range keys as +inf
+            for f, cols in enumerate(maps):
+                if len(cols) > 2:
+                    key[...] = distance.plane_sum(planes, cols, out=sum_buf[:r])
+                else:
+                    distance.plane_sum(planes, cols, out=key)  # one rounding of the float64 sum
+                t, tie = _kth_keys(key, sort_buf[:r], merge_buf[:r], k)
+                out = (np.less_equal(key, t, out=mask_buf[:r]) @ hot).argmax(axis=1)
+                if tie is not None:
+                    out[tie] = _tie_votes(distance.plane_sum(planes[np.ix_(cols, tie)], range(len(cols))), labels, hot, k)
+                votes[f, lo : lo + r] = out
     return votes
+
+
+def _kth_keys(key: np.ndarray, sort_buf: np.ndarray, merge_buf: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(t, tie): each row's k-th smallest key as an (r, 1) column, and the rows
+    whose (k+1)-th smallest equals it (None if there are none).
+
+    The keys fill the first n columns of the (r, blocks, width) sort_buf,
+    whose blocks are sorted in place. Its other columns, at the end of the
+    last block, hold a +inf pad: a sort leaves the largest values at the end
+    of a block, so the pad stays in place from call to call. With more than
+    one block, the k + 1 smallest of each (merge_buf holds min(k + 1, width)
+    per block) are sorted together. A row's k + 1 smallest all lie among its
+    blocks' k + 1 smallest, and the pad makes a (k+1)-th exist at k = n; a
+    pad is +inf, so it can only tie a +inf t, and such a row goes to the
+    exact route anyway.
+    """
+    r, n = key.shape
+    ranked = sort_buf.reshape(r, -1)
+    ranked[:, :n] = key
+    sort_buf.sort(axis=2)
+    if sort_buf.shape[1] > 1:
+        merge_buf[...] = sort_buf[:, :, : merge_buf.shape[2]]
+        ranked = merge_buf.reshape(r, -1)
+        ranked.sort(axis=1)
+    t = ranked[:, k - 1 : k]
+    tie = ranked[:, k] == t[:, 0]
+    return t, np.flatnonzero(tie) if np.count_nonzero(tie) else None
+
+
+def _tie_votes(sq: np.ndarray, labels: np.ndarray, hot: np.ndarray, k: int) -> np.ndarray:
+    """Votes of the rows of sq, float64 squared distances to every training
+    point, with :func:`_one_hot` labels `hot`.
+
+    A partition finds each row's k-th smallest value. A row's k nearest under
+    (squared distance, index) are its columns below that value, plus the
+    first of the columns equal to it, in column order, up to k. So the row's
+    label counts at or below that value, less those of its last `excess`
+    equal columns, are the counts of its k nearest.
+    """
+    r, n = sq.shape
+    label_count = hot.shape[1]
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
+    counts = (sq <= kth).astype(hot.dtype) @ hot
+    excess = counts.sum(axis=1).astype(np.int64) - k
+    if excess.any():
+        rows_at, cols_at = np.divmod(np.flatnonzero(sq == kth), n)  # each row's equal columns, in order
+        ends = np.searchsorted(rows_at, np.arange(1, r + 1))
+        # ends[rows_at] - i is 1 at a row's last equal column, 2 at the one before it, ...
+        last = np.flatnonzero(ends[rows_at] - np.arange(rows_at.size) <= excess[rows_at])
+        counts -= np.bincount(
+            rows_at[last] * label_count + labels[cols_at[last]], minlength=counts.size
+        ).reshape(counts.shape)
+    return counts.argmax(axis=1)
 
 
 def _columns(maps, train_points: np.ndarray, query_points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:

@@ -7,7 +7,10 @@ with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
 floats a few ulps apart, and so are the votes: the 1-D run votes there and
 on blocks of copies that the run splits at either end, and the full scan's
 threshold votes on lattices of dim 1-3, on rows where every point ties and
-on groups so far apart that squared distances overflow to +inf.
+on groups so far apart that squared distances overflow to +inf; and, where
+float64 squared distances differ, on float32 keys that overflow to +inf,
+underflow to 0 or fall within one float32 ulp, on rows that span several
+sort blocks with a tie across a block edge, and with k + 1 > 512.
 The nearest-reference routes (the sorted 1-D `min_sq`, the strip search
 behind `min_sq`, `min_sq_by_label` and `min_pair_sq` on images of dim 2-4,
 the k = 1 search, the k = 1 vote behind the induced labeler, on the sorted
@@ -34,7 +37,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sirmnn import distance
+from sirmnn import distance, knn
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.estimators import beta_estimate, source_margin, target_margin
 from sirmnn.featuremaps import apply_batch, cor_family, identity_map, linear_map
@@ -204,9 +207,64 @@ def overflow_case(draw):
     return train, queries, draw(st.integers(1, n)), rows
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@st.composite
+def float32_key_case(draw):
+    """Inputs on which the full scan's float32 keys tie where the float64
+    squared distances do not, or whose rows span several sort blocks.
+
+    Points of dim 1-3, of one kind:
+    - "overflow": lattice points, about half of them shifted along coordinate
+      0 by a continuous multiple of 10**e (e in 20..150), so squared
+      distances across the shift lie in about 1e39..1e300: +inf as float32
+      keys, distinct in float64;
+    - "underflow": lattice points scaled by 10**-e (e in 23..150), so
+      squared distances lie in about 1e-300..1e-44: 0 or subnormal keys;
+    - "ulp": lattice points with training coordinates moved by a few 2**-30,
+      so squared distances differ in float64 but within one float32 ulp;
+    - "edge": Gaussian points, n in 513..1500, with two copies of one point
+      (exact, or 2**-40 apart) at either side of a sort-block edge and k at
+      the first copy's rank for query 0;
+    - "wide_k": Gaussian points, n in 513..1500, with k + 1 > 512.
+    Returns (train, queries, k, rows per forced chunk).
+    """
+    kind = draw(st.sampled_from(["overflow", "underflow", "ulp", "edge", "wide_k"]))
+    big = kind in ("edge", "wide_k")
+    n = draw(st.integers(513, 1500) if big else st.one_of(st.integers(1, 60), st.integers(513, 1500)))
+    dim, rows = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    m = rows * draw(st.integers(0, 8)) + draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if big:
+        train, queries = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    else:
+        side = draw(st.integers(1, 6))
+        train = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+        queries = rng.integers(0, side, size=(m, dim)).astype(np.float64)
+    if kind == "overflow":
+        scale = 10.0 ** draw(st.integers(20, 150))
+        train[:, 0] += scale * rng.uniform(-3, 3, size=n) * (rng.random(n) < 0.5)
+        queries[:, 0] += scale * rng.uniform(-3, 3, size=m) * (rng.random(m) < 0.5)
+    elif kind == "underflow":
+        scale = 10.0 ** -draw(st.integers(23, 150))
+        train, queries = train * scale, queries * scale
+    elif kind == "ulp":
+        train += 2.0**-30 * rng.integers(-3, 4, size=train.shape)
+    k = draw(st.integers(1, n))
+    if kind == "wide_k":
+        k = draw(st.integers(512, n))
+    elif kind == "edge":
+        blocks = -(-(n + 1) // knn.BLOCK)
+        edge = min(-(-(n + 1) // blocks) * draw(st.integers(1, blocks - 1)), n - 1)
+        train[edge - 1] = train[edge] = train[rng.integers(n)]
+        if draw(st.booleans()):
+            train[edge, 0] *= 1 + 2.0**-40
+        sq = ((queries[0] - train) ** 2).sum(axis=1)
+        k = int(np.searchsorted(np.sort(sq), min(sq[edge - 1], sq[edge]))) + 1
+    return train, queries, k, rows
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(
-    case=st.one_of(lattice_case(), copies_case(), overflow_case()),
+    case=st.one_of(lattice_case(), copies_case(), overflow_case(), float32_key_case()),
     label_count=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     forced=st.booleans(),
@@ -247,10 +305,16 @@ def family_case(draw):
     The points may form two groups 2**27 + 8 apart along coordinate 0, so
     squared distances lie where doubles are 4 apart and their bits depend on
     the order of the plane sum, or groups 2**600 apart, so squared distances
-    overflow to +inf and tie there. Returns (train, queries, maps, k, rows
+    overflow to +inf and tie there. On top of that, the float32 keys of the
+    full scan may tie where float64 squared distances do not: half the
+    training points shifted along coordinate 0 by a continuous multiple of
+    10**e (e in 20..150), so keys overflow to +inf; all points scaled by
+    10**-e (e in 23..150), so keys underflow to 0 or subnormals; or training
+    coordinates moved by a few 2**-30, within one float32 ulp. n reaches
+    1500, past several sort blocks. Returns (train, queries, maps, k, rows
     per forced tile); m leaves a ragged last tile.
     """
-    dim, n = draw(st.integers(3, 4)), draw(st.one_of(st.integers(1, 60), st.integers(300, 600)))
+    dim, n = draw(st.integers(3, 4)), draw(st.one_of(st.integers(1, 60), st.integers(300, 1500)))
     rows = draw(st.integers(2, 5))
     m = rows * draw(st.integers(0, 6)) + draw(st.integers(1, rows - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -260,6 +324,15 @@ def family_case(draw):
     apart = draw(st.sampled_from([0.0, 2.0**27 + 8, 2.0**600]))
     train[:, 0] += apart * rng.integers(-1, 2, size=n)
     queries[:, 0] += apart * rng.integers(-1, 2, size=m)
+    keys = draw(st.sampled_from(["exact", "overflow", "underflow", "ulp"]))
+    if keys == "overflow":
+        scale = 10.0 ** draw(st.integers(20, 150))
+        train[:, 0] += scale * rng.uniform(-1, 1, size=n) * (rng.random(n) < 0.5)
+    elif keys == "underflow":
+        scale = 10.0 ** -draw(st.integers(23, 150))
+        train, queries = train * scale, queries * scale
+    elif keys == "ulp":
+        train += 2.0**-30 * rng.integers(-3, 4, size=train.shape)
     pool = [fm for j in (1, 2, 3) for fm in cor_family(dim, j).maps] + [identity_map(dim), None]
     pool += [linear_map(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(dim, j))) for j in (1, 2, 3)]
     maps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))

@@ -3,13 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sirmnn import distance
+from sirmnn import distance, knn
 from sirmnn.core import LabeledSet, SeedSpec, UnlabeledSet
 from sirmnn.featuremaps import apply_batch, identity_map, linear_map, proj_family_random
 from sirmnn.knn import (
     KnnClassifier,
     KSchedule,
     _neighbor_indices,
+    _sorted_runs,
     _threshold_votes,
     k_nearest,
     k_of_n,
@@ -220,7 +221,7 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     Blocks of copies vote as the stable-sort oracle does: k = 75 takes one
     whole block of 50 copies and splits the next one at the end the case
     names, k = 1 splits the nearest block at its end nearest the query, and
-    the split rows are rescanned."""
+    the split rows, exactly, are rescanned on the exact tie route."""
     rng = np.random.default_rng(0)
     if case == "gaussian":
         train, queries = rng.normal(size=(2000, 1)), rng.normal(size=(500, 1))
@@ -232,15 +233,42 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
         prob = figure1_panel("c")
         labeler = induced_source_labeler(prob, 0, 2000, SeedSpec(0))
         probes = sample(prob.target, 500, SeedSpec(1)).points
-    scans = []
+    scans, exact = [], []
     plane_tiles = distance.plane_tiles  # behind every full scan
     monkeypatch.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
+    tie_votes = knn._tie_votes
+    monkeypatch.setattr(knn, "_tie_votes", lambda sq, *args: exact.append(sq.copy()) or tie_votes(sq, *args))
     clf = KnnClassifier(LabeledSet(train, labels, 3), k)
     assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], 3))
     if case == "gaussian" and k == 1:
         labeler(probes)
     if case == "gaussian":
-        assert scans == []
+        assert scans == [] and exact == []
+    else:
+        rescan = _sorted_runs(train[:, 0], queries[:, 0], k)[2]
+        assert rescan.any()
+        assert np.array_equal(np.concatenate(exact), (queries[rescan] - train.T) ** 2)
+
+
+@pytest.mark.parametrize("n, k", [(400, 36), (1000, 48)])
+@pytest.mark.parametrize("case", ["gaussian", "lattice"])
+def test_2d_scan_takes_the_float32_route(monkeypatch, case, n, k):
+    """On continuous 2-D Gaussian images no row of the full scan ties at its
+    k-th float32 key, so no row reaches the exact float64 tie route; on an
+    integer lattice rows do. Votes match the stable-sort oracle either way."""
+    rng = np.random.default_rng(n)
+    if case == "gaussian":
+        train, queries = rng.normal(size=(n, 2)), rng.normal(size=(500, 2))
+    else:
+        train, queries = (rng.integers(0, 12, size=(size, 2)).astype(float) for size in (n, 500))
+    labels = rng.integers(0, 3, size=n)
+    oracle = np.argsort(((queries[:, None] - train[None]) ** 2).sum(axis=2), axis=1, kind="stable")[:, :k]
+    exact = []
+    tie_votes = knn._tie_votes
+    monkeypatch.setattr(knn, "_tie_votes", lambda sq, *args: exact.append(sq.shape[0]) or tie_votes(sq, *args))
+    got = predict_batch(KnnClassifier(LabeledSet(train, labels, 3), k), UnlabeledSet(queries))
+    assert np.array_equal(got, _vote(labels[oracle], 3))
+    assert (sum(exact) == 0) == (case == "gaussian")
 
 
 class TestClassifierProperties:
