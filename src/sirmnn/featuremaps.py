@@ -100,7 +100,8 @@ def coordinate_map(dim: int, coords) -> FeatureMap:
 
 def linear_map(matrix) -> FeatureMap:
     m = np.asarray(matrix, dtype=np.float64)
-    return FeatureMap("linear", int(m.shape[0]), matrix=m)
+    # A matrix of any other shape fails FeatureMap's (D, K) check.
+    return FeatureMap("linear", int(m.shape[0]) if m.ndim == 2 else 1, matrix=m)
 
 
 def apply(fmap: FeatureMap, x) -> np.ndarray:

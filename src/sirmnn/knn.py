@@ -7,26 +7,25 @@ of time and independent of the feature map, so two maps that order all
 candidate distances identically produce identical predictions.
 
 Search is exact: every vote counts the labels of the k neighbors a full
-stable sort of the squared distances puts first. The full scan votes from
-float32 order keys. Each squared distance is rounded to float32 once, and
-rounding is monotone, so a smaller key always means a strictly smaller
-squared distance. A sort of each row's keys, in blocks of at most BLOCK
-columns whose k + 1 smallest are then sorted together, gives the row's k-th
-key t and its (k+1)-th. The blocks keep the sort's cost per entry from
-growing with n. If the two keys differ, exactly k keys are at or below t,
-their points are the k nearest with no tie at the boundary, and their labels
-are counted. A row whose (k+1)-th key equals t (a tie in float32 or in
-float64, or keys that overflow to +inf or underflow to 0) takes the exact
-float64 route: a partition finds its k-th smallest squared distance, the
-labels at or below it are counted, and a row with more than k of those gives
-back the labels of its last surplus ties in index order. So every vote has
-the bits of the stable-sort vote. Only a ranked list (:func:`k_nearest`)
-keeps the order of the neighbours, with a stable row sort. On 1-D images the
-k nearest form one run of sorted training positions, found by a binary
-search in about log2 k steps; a vote is one difference of prefix label
-counts, and a row whose run has a neighbour at its k-th distance (a copy
-split by the run, a point mirrored across the query, or a rounding tie) ties
-there in float64 too, so it goes straight to the exact route.
+stable sort of the squared distances puts first. One rule settles a row that
+ties at its k-th squared distance K (:func:`_drop_last_ties`): its k nearest
+are its points at or below K, less its last points at K in index order,
+down to k. The full scan votes from float32 order keys: each squared
+distance is rounded to float32 once, and rounding is monotone, so a smaller
+key means a strictly smaller squared distance. A sort of each row's keys in
+blocks of at most BLOCK columns, whose k + 1 smallest are then sorted
+together, gives its k-th key t and its (k+1)-th. If they differ, the k keys
+at or below t are the k nearest, and their labels are counted. A row whose
+(k+1)-th key equals t (a float32 or float64 tie, or keys that overflow to
++inf or underflow to 0) has its K found by a float64 partition and goes to
+the tie rule. Only a ranked list (:func:`k_nearest`) keeps the order of the
+neighbours, with a stable row sort. On 1-D images the k nearest form one run
+of sorted training positions, found by a binary search in about log2 k
+steps, and a vote is one difference of prefix label counts. If a neighbour
+of the run is at K (a split block of copies, a point mirrored across the
+query, or a rounding tie), the row's points at or below K form one window of
+sorted positions around the run: its counts are one more such difference,
+and its points at K go to the tie rule. No 1-D row pays a full row.
 
 :func:`family_votes` votes every map of a family in one call, and
 :func:`predict_batch` is its one-map case. Each distinct image column (a
@@ -161,8 +160,7 @@ def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndar
 
     train_t (C, n) and query_t (C, m) hold one image column per row, and
     maps[f] lists the rows of map f's image in column order. 1-D images vote
-    from their sorted runs (rescanned rows by :func:`_tie_votes`), the other
-    maps from the full scan.
+    from their sorted runs, the other maps from the full scan.
     """
     votes = np.empty((len(maps), query_t.shape[1]), dtype=np.int64)
     scan = [f for f, cols in enumerate(maps) if len(cols) > 1]
@@ -176,52 +174,56 @@ def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndar
 
 def _run_votes(x: np.ndarray, q: np.ndarray, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
     """Votes on 1-D images x (training) and q (queries), each one difference of
-    prefix label counts over its run from :func:`_sorted_runs`. A rescanned
-    row ties at its k-th squared distance by construction, so it goes straight
-    to :func:`_tie_votes` on its float64 row."""
+    prefix label counts over its run from :func:`_sorted_runs`.
+
+    A rescanned row ties at its k-th squared distance K. d * d never rises and
+    then never falls along the sorted values, so the points at or below K are
+    one window [lo, hi) around the run, and two binary searches find its ends.
+    Its counts are pref[hi] - pref[lo]; the window's points at K, expanded in
+    parts of about CHUNK_ENTRIES, go to :func:`_drop_last_ties`.
+    """
     u, start, rescan = _sorted_runs(x, q, k)
     hot = np.vstack([np.zeros(label_count, dtype=bool), labels[u, None] == np.arange(label_count)])
     pref = np.cumsum(hot, axis=0)  # label counts of sorted positions [0, i)
     votes = (pref[start + k] - pref[start]).argmax(axis=1)
     rows = np.flatnonzero(rescan)
     if rows.size:
-        hot = _one_hot(labels, label_count)
-        for lo, sq in distance.sq_blocks(q[rows, None], x[:, None]):
-            votes[rows[lo : lo + sq.shape[0]]] = _tie_votes(sq, labels, hot, k)
+        xs, q, s = x[u], q[rows], start[rows]
+        kth = np.maximum((q - xs[s]) ** 2, (q - xs[s + k - 1]) ** 2)
+        lo = distance._first_true(np.zeros_like(s), s, lambda i: (q - xs[i]) ** 2 <= kth)
+        hi = distance._first_true(s + k, np.full_like(s, x.size), lambda i: (q - xs[i]) ** 2 > kth)
+        step = max(1, distance.CHUNK_ENTRIES // int((hi - lo).max()))
+        for a in range(0, rows.size, step):
+            part = slice(a, a + step)
+            lane, at = distance._expand(lo[part], hi[part] - lo[part])
+            tie = (q[part][lane] - xs[at]) ** 2 == kth[part][lane]
+            votes[rows[part]] = _drop_last_ties(pref[hi[part]] - pref[lo[part]], lane[tie] * x.size + u[at[tie]], labels, k)
     return votes
-
-
-def _one_hot(labels: np.ndarray, label_count: int) -> np.ndarray:
-    """(n, label_count) 0/1 label matrix; a product with a 0/1 mask counts
-    labels exactly: sums of integers below 2**24 in float32 (2**53 in
-    float64), in any BLAS summation order."""
-    dtype = np.float32 if labels.size < 2**24 else np.float64
-    return (labels[:, None] == np.arange(label_count)).astype(dtype)
 
 
 def _threshold_votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:
     """:func:`_votes` from a full scan of every map on shared plane tiles.
 
     Each tile holds one plane per distinct column the maps read, and a map's
-    squared distances are its planes' sum. Nothing is ranked. Each sum is
-    rounded to a float32 key; rounding is monotone, so a smaller key always
-    means a strictly smaller squared distance. A row's k-th key t and its
-    (k+1)-th come from sorting a copy of its keys in blocks of at most BLOCK
-    columns (and a +inf sentinel, so a (k+1)-th exists at k = n), then, with
-    more than one block, sorting the k + 1 smallest of every block together.
-    If the (k+1)-th key exceeds t, exactly k keys are <= t, and their points
-    are nearer than every other, so they are the k nearest under (squared
-    distance, index) with no tie at the boundary: the row's label counts are
-    one product of the 0/1 mask key <= t with the one-hot labels. A row whose
-    (k+1)-th key equals t (a float32 tie, overflow to +inf, underflow to 0,
-    or a float64 tie) goes to :func:`_tie_votes` on its float64 sums. The
-    keys, the block sort, the merge and the 0/1 mask are allocated once.
+    squared distances are its planes' sum, rounded to a float32 key. Nothing
+    is ranked. A row's k-th key t and its (k+1)-th come from sorting a copy of
+    its keys in blocks of at most BLOCK columns (and a +inf sentinel, so a
+    (k+1)-th exists at k = n), then, with more than one block, sorting the
+    k + 1 smallest of every block together. If the (k+1)-th key exceeds t,
+    exactly k keys are <= t, and their points are nearer than every other, so
+    they are the k nearest under (squared distance, index) with no tie at the
+    boundary: the row's label counts are one product of the 0/1 mask key <= t
+    with the one-hot labels (exact: 0/1 sums below 2**24 in float32, 2**53 in
+    float64, in any BLAS order). A row whose (k+1)-th key equals t (a float32
+    tie, overflow to +inf, underflow to 0, or a float64 tie) is settled from
+    its float64 sums by :func:`_tie_votes`, under the one tie rule. The keys,
+    the block sort, the merge and the 0/1 mask are allocated once.
     """
     used = sorted({c for cols in maps for c in cols})
     slot = {c: i for i, c in enumerate(used)}
     maps = [[slot[c] for c in cols] for cols in maps]
     n, m = train_t.shape[1], query_t.shape[1]
-    hot = _one_hot(labels, label_count)
+    hot = (labels[:, None] == np.arange(label_count)).astype(np.float32 if n < 2**24 else np.float64)
     rows = min(distance.tile_rows(n, len(used)), m)
     blocks = -(-(n + 1) // BLOCK)
     width = -(-(n + 1) // blocks)  # blocks * width >= n + 1: at least one +inf pad
@@ -276,27 +278,24 @@ def _kth_keys(key: np.ndarray, sort_buf: np.ndarray, merge_buf: np.ndarray, k: i
 
 def _tie_votes(sq: np.ndarray, labels: np.ndarray, hot: np.ndarray, k: int) -> np.ndarray:
     """Votes of the rows of sq, float64 squared distances to every training
-    point, with :func:`_one_hot` labels `hot`.
-
-    A partition finds each row's k-th smallest value. A row's k nearest under
-    (squared distance, index) are its columns below that value, plus the
-    first of the columns equal to it, in column order, up to k. So the row's
-    label counts at or below that value, less those of its last `excess`
-    equal columns, are the counts of its k nearest.
-    """
-    r, n = sq.shape
-    label_count = hot.shape[1]
+    point, with 0/1 labels `hot`: a partition finds each row's k-th, and
+    :func:`_drop_last_ties` settles the row."""
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
-    counts = (sq <= kth).astype(hot.dtype) @ hot
-    excess = counts.sum(axis=1).astype(np.int64) - k
-    if excess.any():
-        rows_at, cols_at = np.divmod(np.flatnonzero(sq == kth), n)  # each row's equal columns, in order
-        ends = np.searchsorted(rows_at, np.arange(1, r + 1))
-        # ends[rows_at] - i is 1 at a row's last equal column, 2 at the one before it, ...
-        last = np.flatnonzero(ends[rows_at] - np.arange(rows_at.size) <= excess[rows_at])
-        counts -= np.bincount(
-            rows_at[last] * label_count + labels[cols_at[last]], minlength=counts.size
-        ).reshape(counts.shape)
+    return _drop_last_ties((sq <= kth).astype(hot.dtype) @ hot, np.flatnonzero(sq == kth), labels, k)
+
+
+def _drop_last_ties(counts: np.ndarray, ties: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Votes from counts[i], row i's label counts at or below its k-th squared
+    distance K, and ties, the keys i * n + j of its points j at K in any
+    order. Its k nearest under (squared distance, index) are its points below
+    K plus its first points at K in index order, up to k, so the labels of its
+    last `excess` points at K are taken off its counts."""
+    label_count, excess = counts.shape[1], counts.sum(axis=1).astype(np.int64) - k
+    rows_at, cols_at = np.divmod(np.sort(ties), labels.size)  # each row's points at K, in index order
+    ends = np.searchsorted(rows_at, np.arange(1, counts.shape[0] + 1))
+    # ends[rows_at] - i is 1 at a row's last point at K, 2 at the one before it, ...
+    last = np.flatnonzero(ends[rows_at] - np.arange(rows_at.size) <= excess[rows_at])
+    counts -= np.bincount(rows_at[last] * label_count + labels[cols_at[last]], minlength=counts.size).reshape(counts.shape)
     return counts.argmax(axis=1)
 
 

@@ -614,17 +614,21 @@ def perturb_source(
     placed clear of the existing support, keeping the total inserted plus
     removed mass within eps_budget.
 
-    Raises when an index names no map, when the two maps coincide, when the
-    source has one label, when map2 never strays from the induced source
-    support, or when no clear placement exists.
+    Raises, before any sampling, when an index names no map, when the two
+    maps coincide, when the source has one label, when eps_budget is not a
+    number in (0, 1), or when ball_radius is not finite and non-negative;
+    after it, when map2 never strays from the induced source support, or when
+    no clear placement exists.
     """
     fmap1, fmap2 = problem.feature_map(map1_index), problem.feature_map(map2_index)
     if map1_index == map2_index:
         raise ValueError("construction requires two distinct maps")
     if problem.source.label_count < 2:
         raise ValueError(f"construction requires at least two source labels, got {problem.source.label_count}")
-    if eps_budget <= 0 or eps_budget >= 1:
+    if not 0 < eps_budget < 1:  # NaN fails every comparison
         raise ValueError("eps_budget must lie in (0, 1)")
+    if not 0 <= ball_radius < math.inf:
+        raise ValueError("ball_radius must be finite and non-negative")
     seed = seed or SeedSpec(0)
     dense_n = 4000
 

@@ -438,6 +438,16 @@ class TestExitCodes:
                      "component weight", id="nan-weight"),
         pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"], _panel_a_with("radius", math.inf),
                      "component radius", id="infinite-radius"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], '{"D": 2, "K": 1, "maps": [{"matrix": 5}]}',
+                     "linear map needs a (D, K) matrix", id="scalar-family-matrix"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], '{"D": 2, "K": 1, "maps": [{"matrix": null}]}',
+                     "linear map needs a (D, K) matrix", id="null-family-matrix"),
+        pytest.param(["train", "--spec", "{f}", "--regime", "source-only", "--source", "{tmp}/s.csv", "--out", "{tmp}/o.json"],
+                     json.dumps({**figure1_panel("a").to_json(), "family": {"D": 2, "K": 1, "maps": [{"matrix": 5}]}}),
+                     "linear map needs a (D, K) matrix", id="scalar-problem-matrix"),
+        pytest.param(["train", "--spec", "{f}", "--regime", "source-only", "--source", "{tmp}/s.csv", "--out", "{tmp}/o.json"],
+                     json.dumps({**figure1_panel("a").to_json(), "family": {"D": 2, "K": 1, "maps": [{"matrix": None}]}}),
+                     "linear map needs a (D, K) matrix", id="null-problem-matrix"),
         pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"],
                      json.dumps({**figure1_panel("a").to_json(), "ground_truth": [2]}),
                      "map index 2 is out of range for a family of 2 maps", id="ground-truth-past-family"),

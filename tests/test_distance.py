@@ -277,7 +277,8 @@ def test_run_vote_matches_stable_sort_oracle(case, label_count, seed, forced):
     """predict_batch votes the k nearest of a full stable sort on images of
     dim 1-3, under the default and a forced chunk budget, with labels drawn
     from a random subset (so some labels have no training point), and on 1-D
-    images every run it does not rescan holds exactly those neighbors."""
+    images every run it does not rescan holds exactly those neighbors and no
+    row reaches plane_tiles (behind sq_blocks and every full scan)."""
     train, queries, k, rows = case
     rng = np.random.default_rng(seed)
     used = rng.choice(label_count, size=rng.integers(1, label_count + 1), replace=False)
@@ -286,10 +287,13 @@ def test_run_vote_matches_stable_sort_oracle(case, label_count, seed, forced):
     with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
         oracle = np.argsort(_plane_sum(queries, train), axis=1, kind="stable")[:, :k]
         mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        scans, plane_tiles = [], distance.plane_tiles
+        mp.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
         clf = KnnClassifier(LabeledSet(train, labels, label_count), k)
         assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], label_count))
         if train.shape[1] > 1:
             return
+        assert scans == []
         u, start, rescan = _sorted_runs(train[:, 0], queries[:, 0], k)
     for i in np.flatnonzero(~rescan):
         assert sorted(u[start[i] : start[i] + k]) == sorted(oracle[i])

@@ -221,7 +221,9 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     Blocks of copies vote as the stable-sort oracle does: k = 75 takes one
     whole block of 50 copies and splits the next one at the end the case
     names, k = 1 splits the nearest block at its end nearest the query, and
-    the split rows, exactly, are rescanned on the exact tie route."""
+    the split rows, exactly, go to the tie rule, with their label counts at
+    or below their k-th squared distance and their points at it. No case
+    reaches plane_tiles, which is behind sq_blocks and every full scan."""
     rng = np.random.default_rng(0)
     if case == "gaussian":
         train, queries = rng.normal(size=(2000, 1)), rng.normal(size=(500, 1))
@@ -236,18 +238,25 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     scans, exact = [], []
     plane_tiles = distance.plane_tiles  # behind every full scan
     monkeypatch.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
-    tie_votes = knn._tie_votes
-    monkeypatch.setattr(knn, "_tie_votes", lambda sq, *args: exact.append(sq.copy()) or tie_votes(sq, *args))
+    drop_last_ties = knn._drop_last_ties
+    monkeypatch.setattr(
+        knn, "_drop_last_ties", lambda counts, ties, *args: exact.append((counts.copy(), np.sort(ties))) or drop_last_ties(counts, ties, *args)
+    )
     clf = KnnClassifier(LabeledSet(train, labels, 3), k)
     assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], 3))
     if case == "gaussian" and k == 1:
         labeler(probes)
+    assert scans == []
     if case == "gaussian":
-        assert scans == [] and exact == []
+        assert exact == []
     else:
         rescan = _sorted_runs(train[:, 0], queries[:, 0], k)[2]
-        assert rescan.any()
-        assert np.array_equal(np.concatenate(exact), (queries[rescan] - train.T) ** 2)
+        assert rescan.any() and len(exact) == 1
+        sq = (queries[rescan] - train.T) ** 2
+        kth = np.sort(sq, axis=1)[:, k - 1 : k]
+        counts = np.stack([np.bincount(labels[row], minlength=3) for row in sq <= kth])
+        assert np.array_equal(exact[0][0], counts)
+        assert np.array_equal(exact[0][1], np.flatnonzero(sq == kth))
 
 
 @pytest.mark.parametrize("n, k", [(400, 36), (1000, 48)])
@@ -264,8 +273,8 @@ def test_2d_scan_takes_the_float32_route(monkeypatch, case, n, k):
     labels = rng.integers(0, 3, size=n)
     oracle = np.argsort(((queries[:, None] - train[None]) ** 2).sum(axis=2), axis=1, kind="stable")[:, :k]
     exact = []
-    tie_votes = knn._tie_votes
-    monkeypatch.setattr(knn, "_tie_votes", lambda sq, *args: exact.append(sq.shape[0]) or tie_votes(sq, *args))
+    drop_last_ties = knn._drop_last_ties
+    monkeypatch.setattr(knn, "_drop_last_ties", lambda counts, *args: exact.append(counts.shape[0]) or drop_last_ties(counts, *args))
     got = predict_batch(KnnClassifier(LabeledSet(train, labels, 3), k), UnlabeledSet(queries))
     assert np.array_equal(got, _vote(labels[oracle], 3))
     assert (sum(exact) == 0) == (case == "gaussian")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sirmnn import scenarios
 from sirmnn.core import SeedSpec
 from sirmnn.estimators import empirical_risk
 from sirmnn.featuremaps import FeatureFamily, cor_family, linear_map
@@ -359,6 +360,22 @@ class TestPerturbSource:
         prob = ShiftProblem(scene, scene, cor_family(2, 1))
         with pytest.raises(ValueError, match="within the induced source support"):
             perturb_source(prob, 0, 1, eps_budget=0.08, seed=SeedSpec(27))
+
+    @pytest.mark.parametrize("eps_budget, ball_radius, match", [
+        (math.nan, 0.1, "eps_budget"),
+        (math.inf, 0.1, "eps_budget"),
+        (1.0, 0.1, "eps_budget"),
+        (0.08, math.nan, "ball_radius"),
+        (0.08, math.inf, "ball_radius"),
+        (0.08, -0.1, "ball_radius"),
+    ])
+    def test_bad_budget_or_radius_raises_before_sampling(self, monkeypatch, eps_budget, ball_radius, match):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking its arguments")
+
+        monkeypatch.setattr(scenarios, "_sample_points", no_sampling)
+        with pytest.raises(ValueError, match=match):
+            perturb_source(figure1_panel("b"), 1, 0, eps_budget, SeedSpec(29), ball_radius)
 
     @pytest.mark.parametrize("family, maps, seed, digests", [
         (cor_family(3, 2), (2, 0), 5, (
