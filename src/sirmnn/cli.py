@@ -15,6 +15,7 @@ import os
 import sys
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from statistics import median, quantiles
@@ -22,7 +23,7 @@ from statistics import median, quantiles
 from .core import (SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, load_csv, load_csv_unlabeled, save_csv,
                    save_csv_unlabeled, write_json)
 from .estimators import empirical_risk
-from .featuremaps import FeatureFamily, cor_family, proj_family_random, shattering_search
+from .featuremaps import ComparerQuery, FeatureFamily, cor_family, proj_family_random, shattering_search
 from .knn import KSchedule, k_of_n
 from .learners import (
     SOURCE_ONLY_MIN_N,
@@ -35,8 +36,10 @@ from .learners import (
 from .scenarios import PanelGeometry, ShiftProblem, figure1_panel, sample, sample_unlabeled
 from .svg import render_sweep_svg
 
-REGIMES = ("source-only", "unlabeled", "validate")
-MIN_SOURCE_ROWS = {"source-only": SOURCE_ONLY_MIN_N, "unlabeled": UNLABELED_MIN_N, "validate": 1}
+# Each --regime's needs: the fewest source rows its learner accepts, and the
+# target it learns from (None, "unlabeled" or "labeled").
+REGIMES = {"source-only": (SOURCE_ONLY_MIN_N, None), "unlabeled": (UNLABELED_MIN_N, "unlabeled"),
+           "validate": (1, "labeled")}
 SWEEP_FIELDS = ("learner", "n", "m", "trial", "chosen_map", "fallback", "source_risk", "target_risk", "status")
 
 
@@ -129,10 +132,9 @@ def _load_problem(args) -> ShiftProblem:
             geom = PanelGeometry(flip_prob=args.flip_prob)
         return figure1_panel(args.panel, geom)
     if getattr(args, "spec", None):
-        if not os.path.exists(args.spec):
-            raise UsageError(f"problem spec not found: {args.spec}")
+        path = _require_file(args.spec, "problem spec")
         with _caller_input():
-            return ShiftProblem.load(args.spec)
+            return ShiftProblem.load(path)
     raise UsageError("either --panel or --spec is required")
 
 
@@ -161,19 +163,13 @@ def cmd_scenario(args) -> int:
 
 
 def _run_learner(regime: str, problem: ShiftProblem, source: LabeledSet, cfg: LearnerConfig,
-                 target_labeled: LabeledSet | None, target_unlabeled: UnlabeledSet | None):
+                 target: LabeledSet | UnlabeledSet | None):
+    """The regime's learner on the source and the target its REGIMES entry names (None for source-only)."""
     if regime == "source-only":
         return direct_generalize_nn(source, problem.family, cfg)
     if regime == "unlabeled":
-        if target_unlabeled is None:
-            raise UsageError("regime 'unlabeled' needs --target with an unlabeled CSV")
-        return presrv_contract_nn(source, target_unlabeled, problem.family, cfg)
-    if regime == "validate":
-        if target_labeled is None:
-            raise UsageError("regime 'validate' needs --target with a labeled CSV")
-        k = k_of_n(cfg.k_schedule, len(source))
-        return feature_validate(source, target_labeled, problem.family, k)
-    raise UsageError(f"unknown regime {regime!r}")
+        return presrv_contract_nn(source, target, problem.family, cfg)
+    return feature_validate(source, target, problem.family, k_of_n(cfg.k_schedule, len(source)))
 
 
 def _load_points(path: str, what: str, problem: ShiftProblem, label_count: int | None):
@@ -190,26 +186,24 @@ def _load_points(path: str, what: str, problem: ShiftProblem, label_count: int |
 
 def cmd_train(args) -> int:
     problem = _load_problem(args)
+    min_rows, wanted = REGIMES[args.regime]
     source = _load_points(args.source, "source CSV", problem, problem.source.label_count)
-    if len(source) < MIN_SOURCE_ROWS[args.regime]:
-        raise UsageError(f"regime {args.regime!r} needs at least {MIN_SOURCE_ROWS[args.regime]} source rows")
+    if len(source) < min_rows:
+        raise UsageError(f"regime {args.regime!r} needs at least {min_rows} source rows")
     cfg = _learner_config(args)
-    target_labeled = target_unlabeled = None
-    if args.regime == "unlabeled":
-        target_unlabeled = _load_points(args.target, "target CSV", problem, None)
-    elif args.regime == "validate":
-        target_labeled = _load_points(args.target, "target CSV", problem, problem.target.label_count)
+    target = None
+    if wanted:
+        labels = problem.target.label_count if wanted == "labeled" else None
+        target = _load_points(args.target, "target CSV", problem, labels)
 
-    out = _run_learner(args.regime, problem, source, cfg, target_labeled, target_unlabeled)
+    out = _run_learner(args.regime, problem, source, cfg, target)
     result = out.to_json()
     result["regime"] = args.regime
     if args.eval:
         eval_set = _load_points(args.eval, "eval CSV", problem, problem.target.label_count)
         result["target_risk"] = empirical_risk(out.classifier, eval_set).value
     write_json(result, args.out)
-    summary = {"chosen_map_index": out.chosen_map_index}
-    if "target_risk" in result:
-        summary["target_risk"] = result["target_risk"]
+    summary = {key: result[key] for key in ("chosen_map_index", "target_risk") if key in result}
     print(json.dumps(summary, sort_keys=True))
     _log(f"learner output written to {args.out}")
     return 0
@@ -218,35 +212,24 @@ def cmd_train(args) -> int:
 def _sweep_trial(problem: ShiftProblem, regime: str, cfg: LearnerConfig, n: int, m: int,
                  eval_n: int, seed: SeedSpec, cell: int, trial: int) -> dict:
     sub = seed.substream(cell, trial)
+    _, wanted = REGIMES[regime]
+    record = {"learner": regime, "n": n, "m": m, "trial": trial}
     start = time.perf_counter()
     try:
         source = sample(problem.source, n, sub.substream(0))
-        target_labeled = target_unlabeled = None
-        if regime == "unlabeled":
-            target_unlabeled = sample_unlabeled(problem.target, m, sub.substream(1))
-        elif regime == "validate":
-            target_labeled = sample(problem.target, m, sub.substream(1))
-        out = _run_learner(regime, problem, source, cfg, target_labeled, target_unlabeled)
+        target = None
+        if wanted:
+            target = (sample if wanted == "labeled" else sample_unlabeled)(problem.target, m, sub.substream(1))
+        out = _run_learner(regime, problem, source, cfg, target)
         eval_tgt = sample(problem.target, eval_n, sub.substream(2))
         eval_src = sample(problem.source, eval_n, sub.substream(3))
-        record = {
-            "learner": regime,
-            "n": n,
-            "m": m,
-            "trial": trial,
-            "chosen_map": out.chosen_map_index,
-            "fallback": int(out.fallback),
-            "source_risk": f"{empirical_risk(out.classifier, eval_src).value:.6f}",
-            "target_risk": f"{empirical_risk(out.classifier, eval_tgt).value:.6f}",
-            "status": "ok",
-        }
+        record.update(chosen_map=out.chosen_map_index, fallback=int(out.fallback), status="ok",
+                      source_risk=f"{empirical_risk(out.classifier, eval_src).value:.6f}",
+                      target_risk=f"{empirical_risk(out.classifier, eval_tgt).value:.6f}")
     except Exception as exc:  # partial failure: mark the record, keep sweeping
         _log(f"trial ({cell}, {trial}): {type(exc).__name__}: {exc}\n{traceback.format_exc().rstrip()}")
-        record = {
-            "learner": regime, "n": n, "m": m, "trial": trial,
-            "chosen_map": -1, "fallback": 0, "source_risk": "", "target_risk": "",
-            "status": f"error:{type(exc).__name__}",
-        }
+        record.update(chosen_map=-1, fallback=0, source_risk="", target_risk="",
+                      status=f"error:{type(exc).__name__}")
     record["wall_time"] = time.perf_counter() - start  # in-memory only; not serialized
     return record
 
@@ -259,13 +242,10 @@ def _summarize(records: list[dict]) -> dict:
     for (learner, n, m), rows in sorted(cells.items()):
         ok = [r for r in rows if r["status"] == "ok"]
         risks = sorted(float(r["target_risk"]) for r in ok)
-        freq: dict[str, int] = {}
-        for r in ok:
-            freq[str(r["chosen_map"])] = freq.get(str(r["chosen_map"]), 0) + 1
         cell = {
             "learner": learner, "n": n, "m": m,
             "trials": len(rows), "failed": len(rows) - len(ok),
-            "selection_frequency": freq,
+            "selection_frequency": Counter(str(r["chosen_map"]) for r in ok),
         }
         if risks:
             cell["target_risk_median"] = median(risks)
@@ -284,9 +264,10 @@ def cmd_sweep(args) -> int:
     if not grid_n or args.trials < 1:
         raise UsageError("grid must be non-empty and trials >= 1")
     # The rules cmd_train applies to its inputs, checked before any trial runs.
-    if min(grid_n) < MIN_SOURCE_ROWS[args.regime]:
-        raise UsageError(f"regime {args.regime!r} needs --grid-n sizes of at least {MIN_SOURCE_ROWS[args.regime]}")
-    min_m = 0 if args.regime == "source-only" else 1
+    min_rows, wanted = REGIMES[args.regime]
+    if min(grid_n) < min_rows:
+        raise UsageError(f"regime {args.regime!r} needs --grid-n sizes of at least {min_rows}")
+    min_m = 1 if wanted else 0
     if min(grid_m) < min_m:
         raise UsageError(f"regime {args.regime!r} needs --grid-m sizes of at least {min_m}")
     if args.eval_n < 1:
@@ -352,14 +333,11 @@ def cmd_ddprobe(args) -> int:
     sizes = _int_list(args.sizes, "--sizes")
     if not sizes or min(sizes) < 1:
         raise UsageError("--sizes must list positive integers")
-    from .featuremaps import ComparerQuery
-
+    with _caller_input():  # the caller's family may not admit the bound, e.g. K > D
+        dd_upper = family.dd_upper()
     rng = seed.rng(2)
     dim = family.input_dim
-    quads = [
-        ComparerQuery(*(rng.random(dim) for _ in range(4)))
-        for _ in range(args.quads)
-    ]
+    quads = [ComparerQuery(*(rng.random(dim) for _ in range(4))) for _ in range(args.quads)]
     results = []
     for size in sizes:
         if size > len(quads):
@@ -373,7 +351,7 @@ def cmd_ddprobe(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "family": {"provenance": family.provenance, "size": len(family), "D": dim, "K": family.output_dim},
-        "dd_upper": family.dd_upper(),
+        "dd_upper": dd_upper,
         "quad_count": len(quads),
         "results": results,
     }

@@ -72,8 +72,8 @@ class Scene:
 
     Sampling picks a component by weight, draws a uniform point in its
     ball, and emits the component label, flipped to a uniform other label
-    with the component's flip probability. A zero radius makes the
-    component a point mass.
+    with the component's flip probability, so a scene of one label takes
+    no flip noise. A zero radius makes the component a point mass.
     """
 
     dim: int
@@ -91,6 +91,8 @@ class Scene:
                 raise ValueError("component center dimension mismatch")
             if not 0 <= c.label < self.label_count:
                 raise ValueError("component label out of range")
+            if c.flip_prob > 0 and self.label_count < 2:
+                raise ValueError("flip_prob needs at least two labels to flip between")
         total = sum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total!r}")

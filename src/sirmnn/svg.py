@@ -77,9 +77,8 @@ def render_sweep_svg(records: list[dict]) -> str:
     def y_of(risk):
         return top_y + PLOT_H * (1.0 - min(1.0, max(0.0, risk)))
 
-    for ticks, fmt in ((ns, str),):
-        for n in ticks:
-            parts.append(_text(x_of(n), top_y + PLOT_H + 16, fmt(n), size=10))
+    for n in ns:
+        parts.append(_text(x_of(n), top_y + PLOT_H + 16, str(n), size=10))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(_text(left_x - 8, y_of(frac) + 4, _fmt(frac), size=10, anchor="end"))
         parts.append(_text(right_x - 8, top_y + PLOT_H * (1 - frac) + 4, _fmt(frac), size=10, anchor="end"))

@@ -402,6 +402,8 @@ class TestExitCodes:
         ["--lambda", "nan"],
         ["--lambda", "inf"],
         ["--epsilon-mode", "fixed:nan"],
+        ["--regime", "unlabeled"],
+        ["--regime", "validate"],
     ])
     def test_bad_train_input_exits_2(self, scenario_dir, tmp_path, flags, capsys):
         (scenario_dir / "d3.csv").write_text("x_0,x_1,x_2,y\n0.1,0.2,0.3,0\n")
@@ -419,6 +421,7 @@ class TestExitCodes:
         ["ddprobe", "--family", "cor:2,5", "--out", "{tmp}/o.json"],
         ["sweep", "--panel", "a", "--regime", "source-only", "--grid-n", "1x",
          "--out-csv", "{tmp}/x.csv", "--out-json", "{tmp}/x.json"],
+        ["ddprobe", "--family", "proj:2,3,1", "--out", "{tmp}/o.json"],
     ])
     def test_bad_spec_exits_2(self, tmp_path, argv):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
@@ -451,6 +454,13 @@ class TestExitCodes:
         pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"],
                      json.dumps({**figure1_panel("a").to_json(), "ground_truth": [2]}),
                      "map index 2 is out of range for a family of 2 maps", id="ground-truth-past-family"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"],
+                     '{"D": 2, "K": 3, "maps": [{"matrix": [[1, 0, 0], [0, 1, 0]]}]}',
+                     "need D >= K >= 1", id="family-maps-up"),
+        pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"],
+                     json.dumps({**figure1_panel("a").to_json(), "target": {"dim": 2, "label_count": 1, "components": [
+                         {"center": [0, 0], "radius": 1, "label": 0, "weight": 1, "flip_prob": 0.2}]}}),
+                     "flip_prob needs at least two labels", id="one-label-flip"),
     ])
     def test_bad_json_file_exits_2(self, tmp_path, argv, text, key, capsys):
         spec = tmp_path / "f.json"

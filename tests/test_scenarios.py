@@ -167,6 +167,11 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             SceneComponent((0.0,), 1.0, 0, 1.0, flip_prob=0.5)
 
+    def test_one_label_takes_no_flip(self):
+        with pytest.raises(ValueError, match="flip_prob needs at least two labels"):
+            Scene(1, (SceneComponent((0.0,), 1.0, 0, 1.0, flip_prob=0.2),), 1)
+        assert bayes_risk(Scene(1, (SceneComponent((0.0,), 1.0, 0, 1.0),), 1)) == 0.0
+
     @pytest.mark.parametrize("lambda_", [2.0, math.nan, math.inf])
     def test_cert_budget_contraction_constant(self, lambda_):
         with pytest.raises(ValueError, match="contraction constant"):
