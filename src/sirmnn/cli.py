@@ -91,7 +91,8 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _threads() -> int:
-    raw = os.environ.get("SIRM_THREADS", "")
+    """Sweep workers: the CPUs this process may use, at most SIRM_THREADS (8 if unset)."""
+    raw, cap = os.environ.get("SIRM_THREADS", ""), 8
     if raw.strip():
         try:
             cap = int(raw)
@@ -99,9 +100,8 @@ def _threads() -> int:
             raise UsageError(f"SIRM_THREADS must be an integer, got {raw!r}")
         if cap < 1:
             raise UsageError("SIRM_THREADS must be >= 1")
-        return cap
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(8, cpus)
+    return min(cap, cpus)
 
 
 def _parse_epsilon_mode(mode: str) -> tuple[str, float | None]:
@@ -267,9 +267,10 @@ def cmd_sweep(args) -> int:
     min_rows, wanted = REGIMES[args.regime]
     if min(grid_n) < min_rows:
         raise UsageError(f"regime {args.regime!r} needs --grid-n sizes of at least {min_rows}")
-    min_m = 1 if wanted else 0
-    if min(grid_m) < min_m:
-        raise UsageError(f"regime {args.regime!r} needs --grid-m sizes of at least {min_m}")
+    if not wanted and args.grid_m:
+        raise UsageError(f"regime {args.regime!r} takes no --grid-m")
+    if wanted and min(grid_m, default=0) < 1:
+        raise UsageError(f"regime {args.regime!r} needs --grid-m sizes of at least 1")
     if args.eval_n < 1:
         raise UsageError("--eval-n must be at least 1")
     seed = args.seed

@@ -20,11 +20,11 @@ at or below t are the k nearest, and their labels are counted. A row whose
 +inf or underflow to 0) has its K found by a float64 partition and goes to
 the tie rule. Only a ranked list (:func:`k_nearest`) keeps the order of the
 neighbours, with a stable row sort. On 1-D images the k nearest form one run
-of sorted training positions, found by a binary search in about log2 k
-steps, and a vote is one difference of prefix label counts. If a neighbour
-of the run is at K (a split block of copies, a point mirrored across the
-query, or a rounding tie), the row's points at or below K form one window of
-sorted positions around the run: its counts are one more such difference,
+of sorted training positions, its start guessed from window midpoints and
+checked exactly, and a vote is one difference of prefix label counts. If a
+neighbour of the run is at K (a split block of copies, a point mirrored across
+the query, or a rounding tie), the row's points at or below K form one window
+of sorted positions around the run: its counts are one more such difference,
 and its points at K go to the tie rule. No 1-D row pays a full row.
 
 :func:`family_votes` votes every map of a family in one call, and
@@ -128,30 +128,44 @@ def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     Returns (u, start, rescan): u sorts x, in any order among equal values.
     Unless rescan[i], the k nearest of q[i] are u[start[i] : start[i] + k].
 
-    Along the sorted values d * d (the full scan's bits; rounding is monotone)
-    never rises before the query's insertion point p and never falls after it.
-    A binary search over the starts s in [p - k, p], clipped to [0, n - k],
-    moves right while d * d at s exceeds that at s + k, so nothing outside the
-    run is nearer than its k-th, at K, and by the same shape nothing past a
-    neighbour of the run is nearer than that neighbour. If neither neighbour
-    is at K, the run is exactly the set at or below K, whatever the order of
-    equal values; otherwise the row is rescanned.
+    The runs are found in sorted query order, their starts by :func:`_run_starts`
+    from a search of the window midpoints. Nothing outside a run is nearer than
+    its k-th, at K, nor past a neighbour of the run nearer than that neighbour.
+    If neither neighbour is at K, the run is exactly the set at or below K,
+    whatever the order of equal values; otherwise the row is rescanned.
     """
-    n = x.size
     u = np.argsort(x)  # the unstable sort is several times faster than a stable one
     xs = np.append(x[u], np.inf)  # xs[-1] and xs[n] read a +inf sentinel
+    order = np.argsort(q)
+    qs = q[order]
+    s = _run_starts(xs, qs, k, np.searchsorted(xs[: x.size - k] * 0.5 + xs[k:-1] * 0.5, qs))
+    kth = np.maximum((qs - xs[s]) ** 2, (qs - xs[s + k - 1]) ** 2)
+    start, rescan = np.empty_like(s), np.empty(q.size, dtype=bool)
+    start[order], rescan[order] = s, ((qs - xs[s - 1]) ** 2 == kth) | ((qs - xs[s + k]) ** 2 == kth)
+    return u, start, rescan
 
-    def sq(at):
-        return (q - xs[at]) ** 2
+
+def _run_starts(xs: np.ndarray, q: np.ndarray, k: int, guess: np.ndarray) -> np.ndarray:
+    """Each query's first start s in [p - k, p], clipped to [0, n - k], where
+    xs[s] is not strictly farther than xs[s + k]; xs holds n sorted values and
+    a +inf sentinel, and p is the query's insertion point.
+
+    d * d (the full scan's bits) never rises along the sorted values before p
+    and never falls after it, so on the bracket the test is false, then true,
+    and true at its end. Up to rounding, s is the first window whose midpoint
+    is at or above the query. A guess is only a hint: clipped into the bracket,
+    the test at it and at the start before it narrow the bracket, to [s, s]
+    when the guess is s, and :func:`distance._first_true` finishes the rows
+    left open, in 0 steps if there are none.
+    """
+    def near(at):
+        return (q - xs[at]) ** 2 <= (q - xs[at + k]) ** 2
 
     p = np.searchsorted(xs, q)
-    s, hi = np.clip(p - k, 0, n - k), np.minimum(p, n - k)
-    for _ in range(int(k).bit_length()):
-        mid = (s + hi) // 2
-        right = sq(mid) > sq(mid + k)
-        s, hi = np.where(right, mid + 1, s), np.where(right, hi, mid)
-    kth = np.maximum(sq(s), sq(s + k - 1))
-    return u, s, (sq(s - 1) == kth) | (sq(s + k) == kth)
+    lo, hi = np.clip(p - k, 0, xs.size - 1 - k), np.minimum(p, xs.size - 1 - k)
+    g = np.clip(guess, lo, hi)
+    at_g, before = near(g), (g > lo) & near(g - 1)
+    return distance._first_true(np.where(at_g, np.where(before, lo, g), g + 1), np.where(at_g, g - before, hi), near)
 
 
 def _votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, labels: np.ndarray, label_count: int, k: int) -> np.ndarray:

@@ -183,12 +183,12 @@ def _sample_points(scene: Scene, n: int, seed: SeedSpec) -> tuple[np.ndarray, np
     weights = weights / weights.sum()
     comp_idx = rng.choice(len(scene.components), size=n, p=weights)
     direction = rng.standard_normal((n, scene.dim))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))  # np.linalg.norm's steps, same bits
     norms[norms == 0] = 1.0
     direction /= norms
     radial = rng.random(n) ** (1.0 / scene.dim)
-    radii = np.asarray([c.radius for c in scene.components])[comp_idx]
-    centers = scene.centers()[comp_idx]
+    radii = np.asarray([c.radius for c in scene.components]).take(comp_idx)
+    centers = scene.centers().take(comp_idx, axis=0)
     pts = centers + direction * (radial * radii)[:, None]
     return pts.reshape(n, scene.dim), comp_idx
 

@@ -7,6 +7,7 @@ Seeds, tolerances, and runtime envelopes are pinned here; run with
 import csv
 import json
 import math
+import os
 import time
 from collections import Counter
 from fractions import Fraction
@@ -412,6 +413,9 @@ def test_criterion_10_estimator_calibration():
 
 
 def test_criterion_11_sweep_determinism(tmp_path, monkeypatch):
+    # SIRM_THREADS caps the CPUs the process may use; allow 8 so that "8" means 8 workers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
     def run(tag, threads):
         monkeypatch.setenv("SIRM_THREADS", str(threads))
         rc = cli_main([

@@ -194,6 +194,8 @@ class TestSweep:
 
     def assert_thread_count_invariant(self, tmp_path, monkeypatch, regime):
         noisy = ["--flip-prob", "0.1"]  # so risks differ from trial to trial
+        # SIRM_THREADS caps the CPUs the process may use; allow 8 so that "8" means 8 workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("SIRM_THREADS", "1")
         assert main(self.sweep_args(tmp_path, "b", regime) + noisy) == 0
         monkeypatch.setenv("SIRM_THREADS", "8")
@@ -266,6 +268,8 @@ class TestSweep:
         ["--regime", "source-only", "--grid-n", "4"],
         ["--regime", "unlabeled", "--grid-n", "100", "--grid-m", "0,20"],
         ["--regime", "source-only", "--grid-n", "100", "--eval-n", "0"],
+        ["--regime", "source-only", "--grid-n", "100", "--grid-m", "5,500"],
+        ["--regime", "unlabeled", "--grid-n", "100", "--grid-m", ","],
     ])
     def test_unusable_grid_values_exit_2(self, tmp_path, flags, capsys):
         # Each would fail every trial with a ValueError; none may start.
@@ -488,5 +492,10 @@ class TestEnvThreads:
 
     def test_default_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("SIRM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _threads() == 1
+
+    def test_env_value_caps_cpu_affinity(self, monkeypatch):
+        monkeypatch.setenv("SIRM_THREADS", "4")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _threads() == 1

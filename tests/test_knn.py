@@ -223,7 +223,9 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     names, k = 1 splits the nearest block at its end nearest the query, and
     the split rows, exactly, go to the tie rule, with their label counts at
     or below their k-th squared distance and their points at it. No case
-    reaches plane_tiles, which is behind sq_blocks and every full scan."""
+    reaches plane_tiles, which is behind sq_blocks and every full scan. On
+    Gaussian images every run starts at its midpoint guess, so the one search
+    of the run starts gets brackets of width 0."""
     rng = np.random.default_rng(0)
     if case == "gaussian":
         train, queries = rng.normal(size=(2000, 1)), rng.normal(size=(500, 1))
@@ -235,9 +237,12 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
         prob = figure1_panel("c")
         labeler = induced_source_labeler(prob, 0, 2000, SeedSpec(0))
         probes = sample(prob.target, 500, SeedSpec(1)).points
-    scans, exact = [], []
+    scans, exact, widths = [], [], []
     plane_tiles = distance.plane_tiles  # behind every full scan
     monkeypatch.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
+    first_true = distance._first_true
+    monkeypatch.setattr(distance, "_first_true", lambda lo, hi, pred: (
+        widths.append((pred.__qualname__, int((hi - lo).max()))) or first_true(lo, hi, pred)))
     drop_last_ties = knn._drop_last_ties
     monkeypatch.setattr(
         knn, "_drop_last_ties", lambda counts, ties, *args: exact.append((counts.copy(), np.sort(ties))) or drop_last_ties(counts, ties, *args)
@@ -249,6 +254,8 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     assert scans == []
     if case == "gaussian":
         assert exact == []
+        # Every run start is its midpoint guess: no row is left to search.
+        assert widths and set(widths) == {("_run_starts.<locals>.near", 0)}
     else:
         rescan = _sorted_runs(train[:, 0], queries[:, 0], k)[2]
         assert rescan.any() and len(exact) == 1
@@ -257,6 +264,74 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
         counts = np.stack([np.bincount(labels[row], minlength=3) for row in sq <= kth])
         assert np.array_equal(exact[0][0], counts)
         assert np.array_equal(exact[0][1], np.flatnonzero(sq == kth))
+
+
+def _binary_search_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: (start, rescan) of each query's run by a binary search of
+    int(k).bit_length() steps over every row, moving right while xs[s] is
+    strictly farther than xs[s + k]."""
+    n = x.size
+    xs = np.append(np.sort(x), np.inf)
+
+    def sq(at):
+        return (q - xs[at]) ** 2
+
+    p = np.searchsorted(xs, q)
+    s, hi = np.clip(p - k, 0, n - k), np.minimum(p, n - k)
+    for _ in range(int(k).bit_length()):
+        mid = (s + hi) // 2
+        right = sq(mid) > sq(mid + k)
+        s, hi = np.where(right, mid + 1, s), np.where(right, hi, mid)
+    kth = np.maximum(sq(s), sq(s + k - 1))
+    return s, (sq(s - 1) == kth) | (sq(s + k) == kth)
+
+
+GUESS_CASES = ["gaussian", "copies", "constant", "ulp", "huge", "signed_zeros"]
+
+
+def _guess_case(case: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(training values, queries) of 1-D images; the queries reach past both
+    ends of the training values."""
+    n, m = 120, 300
+    if case == "gaussian":
+        return rng.normal(size=n), rng.normal(scale=2.0, size=m)
+    if case == "copies":
+        return rng.integers(0, 8, size=n).astype(float), rng.integers(-2, 10, size=m) + rng.choice([0, 0.25, 0.5], size=m)
+    if case == "constant":
+        return np.full(n, 1.5), rng.choice([1.5, 0.0, 3.0, -1e3], size=m)
+    if case == "ulp":
+        return 1.0 + np.spacing(1.0) * rng.integers(0, 12, size=n), 1.0 + np.spacing(1.0) * rng.integers(-4, 16, size=m)
+    if case == "huge":
+        ends = [-1.79e308, -1.7e308, -1e308, 1e308, 1.7e308, 1.79e308]
+        return rng.choice(ends, size=n), np.concatenate([rng.choice(ends + [0.0], size=m // 2), 1.79e308 * rng.uniform(-1, 1, m - m // 2)])
+    return rng.choice([0.0, -0.0, 1.0, -1.0], size=n), rng.choice([0.0, -0.0, 0.5, -0.5, 2.0], size=m)
+
+
+@pytest.mark.parametrize("guess", ["midpoint", "lo", "hi", "between", "outside"])
+@pytest.mark.parametrize("k", ["1", "37", "n - 1", "n"])
+@pytest.mark.parametrize("case", GUESS_CASES)
+def test_run_start_guess_is_only_a_hint(monkeypatch, case, k, guess):
+    """Whatever the guess, at its bracket's ends, anywhere between them or
+    outside it, each run starts where the binary search over every row puts
+    it, and the same rows are rescanned."""
+    rng = np.random.default_rng(GUESS_CASES.index(case))
+    x, q = _guess_case(case, rng)
+    k = {"1": 1, "37": 37, "n - 1": x.size - 1, "n": x.size}[k]
+    run_starts = knn._run_starts
+
+    def forced(xs, qs, k, midpoint_guess):
+        p = np.searchsorted(xs, qs)
+        lo, hi = np.clip(p - k, 0, x.size - k), np.minimum(p, x.size - k)
+        g = {"midpoint": midpoint_guess, "lo": lo, "hi": hi, "between": rng.integers(lo, hi + 1),
+             "outside": np.where(rng.random(qs.size) < 0.5, lo - 1 - 3 * k, hi + 1 + 3 * k)}[guess]
+        return run_starts(xs, qs, k, g)
+
+    monkeypatch.setattr(knn, "_run_starts", forced)
+    with np.errstate(over="ignore"):
+        _, start, rescan = _sorted_runs(x, q, k)
+        want_start, want_rescan = _binary_search_runs(x, q, k)
+    assert np.array_equal(start, want_start)
+    assert np.array_equal(rescan, want_rescan)
 
 
 @pytest.mark.parametrize("n, k", [(400, 36), (1000, 48)])
