@@ -30,13 +30,20 @@ FLOAT_FMT = "%.17g"
 SCHEMA_VERSION = 1
 
 
-def _check_schema(obj: dict) -> None:
-    """Reject a JSON object that states a schema version other than ours.
+def _check_schema(obj: dict, *ints: str) -> None:
+    """Reject a JSON object that states a schema version other than ours, or
+    holds anything but integers (2 or 2.0, not 2.5 or true), alone or in a
+    list, in a non-null field named in `ints`.
 
     An object without "schema_version" is read as the current version.
     """
     if "schema_version" in obj and obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {obj['schema_version']!r}, expected {SCHEMA_VERSION}")
+    for name in ints:
+        value = obj[name] if name in obj else None
+        items = value if isinstance(value, list) else [value]
+        if value is not None and not all(type(v) is int or type(v) is float and v.is_integer() for v in items):
+            raise ValueError(f"{name} must be an integer or a list of integers, got {value!r}")
 
 
 def write_json(obj, path) -> None:

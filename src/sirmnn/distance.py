@@ -1,19 +1,11 @@
-"""Exact squared distances: query rows against a reference set in row tiles, or paired rows.
+"""Exact squared distances: pair bits, and each query's nearest reference.
 
 Every squared distance in the package is one plane sum of direct coordinate
 differences (no norm-expansion shortcut, so symmetric inputs tie exactly),
-(q0 - r0)**2 + (q1 - r1)**2 + ..., added left to right. Its bits depend
-only on the two points: not on the memory layout, the other points, the
-tile, or whether :func:`plane_tiles`, :func:`sq_blocks` or :func:`pair_sq`
-computed it. Queries are evaluated in row tiles by :func:`plane_tiles`: a
-tile of r rows against n references holds one (r, n) plane (q_c - r_c)**2
-for each of the C distinct columns it is given, and r is the largest count
-with r * n * C <= CHUNK_ENTRIES, but at least 1. Several maps' images can
-share a tile: a map's squared distances are its planes added in its
-image-column order by :func:`plane_sum`, the same bits as its own plane
-sum. The tile buffer is allocated once per call and reused, so a yielded
-tile is valid only until the next step; :func:`sq_blocks` sums each tile
-into a fresh array. Every result is independent of the tile size.
+(q0 - r0)**2 + (q1 - r1)**2 + ..., added left to right, so its bits depend
+only on the two points, not on the memory layout or the other points:
+:func:`pair_sq` on paired rows or as a broadcast (m, n) table and
+:func:`plane_sum` on the k-NN scan's coordinate planes give the same bits.
 
 The nearest-reference minima (:func:`min_sq`, :func:`min_sq_by_label`,
 :func:`min_pair_sq`) never fill the full query x reference table. Two facts
@@ -53,33 +45,7 @@ is no Python loop over strips or queries, only over the binary-search steps.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
-
-CHUNK_ENTRIES = 250_000  # float64 entries of one tile's planes, counted as rows * n * columns
-
-
-def tile_rows(n: int, columns: int) -> int:
-    """Query rows of one tile against n references in `columns` distinct columns."""
-    return max(1, CHUNK_ENTRIES // max(1, n * columns))
-
-
-def plane_tiles(queries_t: np.ndarray, refs_t: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, planes) with planes[c, i, j] = (queries_t[c, lo + i] - refs_t[c, j])**2.
-
-    queries_t is (C, m) and refs_t (C, n), one row per column. The planes
-    live in one buffer that every step overwrites.
-    """
-    m, n = queries_t.shape[1], refs_t.shape[1]
-    rows = tile_rows(n, queries_t.shape[0])
-    buf = np.empty((queries_t.shape[0], min(rows, m), n))
-    for lo in range(0, m, rows):
-        planes = buf[:, : min(rows, m - lo)]
-        np.subtract(queries_t[:, lo : lo + rows, None], refs_t[:, None, :], out=planes)
-        planes *= planes
-        yield lo, planes
-
 
 def plane_sum(planes: np.ndarray, cols, out: np.ndarray | None = None) -> np.ndarray:
     """planes[cols[0]] + planes[cols[1]] + ..., added left to right into `out`
@@ -95,27 +61,15 @@ def plane_sum(planes: np.ndarray, cols, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def sq_blocks(queries: np.ndarray, refs: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, sq) with sq[i, j] the squared distance of queries[lo + i] to refs[j]."""
-    # One contiguous row per coordinate, so every plane reads unit strides.
-    qt = np.ascontiguousarray(queries.T)
-    rt = np.ascontiguousarray(refs.T)
-    for lo, planes in plane_tiles(qt, rt):
-        yield lo, plane_sum(planes, range(qt.shape[0]))
-
-
 def pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance of each row of a to the same row of b (equal shapes)."""
-    return _plane_sum(a.T, b.T)
-
-
-def _plane_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a[0] - b[0])**2 + (a[1] - b[1])**2 + ... over coordinate planes that broadcast."""
-    sq = a[0] - b[0]
+    """(a[..., 0] - b[..., 0])**2 + (a[..., 1] - b[..., 1])**2 + ... over the
+    last axis, which broadcasts: rows of equal shape give paired distances,
+    and pair_sq(a[:, None], b[None]) the (m, n) table of every pair."""
+    sq = a[..., 0] - b[..., 0]
     sq *= sq
     plane = None  # one scratch plane, reused for every further coordinate
-    for j in range(1, a.shape[0]):
-        plane = np.subtract(a[j], b[j], out=plane)
+    for j in range(1, a.shape[-1]):
+        plane = np.subtract(a[..., j], b[..., j], out=plane)
         plane *= plane
         sq += plane
     return sq

@@ -149,8 +149,8 @@ class ComparerQuery:
 def comparer(fmap: FeatureMap, q: ComparerQuery) -> int:
     """1 iff the (x1, x2) pair is at least as far apart as (x3, x4) under the map.
 
-    Compares the images' squared distances, each with the bits
-    :func:`distance.sq_blocks` gives the same pair.
+    Compares the images' squared distances, each with the bits every
+    :func:`distance.pair_sq` table and the k-NN scan give the same pair.
     """
     return int(_comparer_bits((fmap,), [q])[0, 0])
 
@@ -258,10 +258,13 @@ class FeatureFamily:
 
     @staticmethod
     def from_json(obj: dict) -> "FeatureFamily":
-        _check_schema(obj)
+        _check_schema(obj, "D", "K")
         dim = int(obj["D"])
         maps = []
         for entry in obj["maps"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f"map entry {entry!r} is not an object")
+            _check_schema(entry, "J")
             if entry.get("identity"):
                 maps.append(identity_map(dim))
             elif "J" in entry:

@@ -32,11 +32,11 @@ and its points at K go to the tie rule. No 1-D row pays a full row.
 coordinate of the points, shared by every identity and coordinate map that
 reads it, or a linear map's own column) is laid out once. A 1-D image takes
 one sorted run over all the queries. The other maps share one full scan over
-row tiles of :func:`distance.plane_tiles`: the tile budget is counted over
-the distinct columns, each column's plane is computed once per tile, and
-each map adds its own planes. The scan's keys, sort blocks, merge and 0/1
-mask are allocated once per call and reused for every tile and map, as is
-the tile itself, so a tile's values are valid only until the next step.
+row tiles: r query rows hold one (r, n) plane for each of the C distinct
+columns the maps read, r the largest count, at least 1, with r * n * C <=
+CHUNK_ENTRIES. Each map adds its own planes in column order by
+:func:`distance.plane_sum`, so no vote depends on r. The planes, keys, sort
+blocks, merge and 0/1 mask are allocated once per call, reused for every tile.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .featuremaps import FeatureMap, apply_batch
 
 __all__ = ["KSchedule", "k_of_n", "KnnClassifier", "k_nearest", "predict", "predict_batch", "family_votes"]
 
+CHUNK_ENTRIES = 250_000  # float64 entries of one tile's planes, counted as rows * n * columns
 BLOCK = 512  # most columns of one block of the full scan's float32 row sort
 
 
@@ -115,11 +116,9 @@ def _images(fmap: FeatureMap | None, points: np.ndarray) -> np.ndarray:
 
 def _neighbor_indices(train_z: np.ndarray, query_z: np.ndarray, k: int) -> np.ndarray:
     """(m, k) neighbor index matrix ranked by (squared distance, index): a
-    stable sort of each row of the full scan."""
-    out = np.empty((query_z.shape[0], k), dtype=np.int64)
-    for lo, sq in distance.sq_blocks(query_z, train_z):
-        out[lo : lo + sq.shape[0]] = np.argsort(sq, axis=1, kind="stable")[:, :k]
-    return out
+    stable sort of each row of the :func:`distance.pair_sq` table, untiled,
+    for the few queries of :func:`k_nearest`."""
+    return np.argsort(distance.pair_sq(query_z[:, None], train_z[None]), axis=1, kind="stable")[:, :k]
 
 
 def _sorted_runs(x: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,7 +205,7 @@ def _run_votes(x: np.ndarray, q: np.ndarray, labels: np.ndarray, label_count: in
         kth = np.maximum((q - xs[s]) ** 2, (q - xs[s + k - 1]) ** 2)
         lo = distance._first_true(np.zeros_like(s), s, lambda i: (q - xs[i]) ** 2 <= kth)
         hi = distance._first_true(s + k, np.full_like(s, x.size), lambda i: (q - xs[i]) ** 2 > kth)
-        step = max(1, distance.CHUNK_ENTRIES // int((hi - lo).max()))
+        step = max(1, CHUNK_ENTRIES // int((hi - lo).max()))
         for a in range(0, rows.size, step):
             part = slice(a, a + step)
             lane, at = distance._expand(lo[part], hi[part] - lo[part])
@@ -230,24 +229,29 @@ def _threshold_votes(train_t: np.ndarray, query_t: np.ndarray, maps: list, label
     with the one-hot labels (exact: 0/1 sums below 2**24 in float32, 2**53 in
     float64, in any BLAS order). A row whose (k+1)-th key equals t (a float32
     tie, overflow to +inf, underflow to 0, or a float64 tie) is settled from
-    its float64 sums by :func:`_tie_votes`, under the one tie rule. The keys,
-    the block sort, the merge and the 0/1 mask are allocated once.
+    its float64 sums by :func:`_tie_votes`, under the one tie rule. The planes,
+    the keys, the block sort, the merge and the 0/1 mask are allocated once.
     """
     used = sorted({c for cols in maps for c in cols})
     slot = {c: i for i, c in enumerate(used)}
     maps = [[slot[c] for c in cols] for cols in maps]
     n, m = train_t.shape[1], query_t.shape[1]
     hot = (labels[:, None] == np.arange(label_count)).astype(np.float32 if n < 2**24 else np.float64)
-    rows = min(distance.tile_rows(n, len(used)), m)
+    rows = min(max(1, CHUNK_ENTRIES // (n * len(used))), m)
     blocks = -(-(n + 1) // BLOCK)
     width = -(-(n + 1) // blocks)  # blocks * width >= n + 1: at least one +inf pad
+    plane_buf = np.empty((len(used), rows, n))
     key_buf, mask_buf = np.empty((rows, n), dtype=np.float32), np.empty((rows, n), dtype=hot.dtype)
     sort_buf = np.full((rows, blocks, width), np.inf, dtype=np.float32)
     merge_buf = np.empty((rows, blocks, min(k + 1, width)), dtype=np.float32)
     sum_buf = np.empty((rows, n)) if any(len(cols) > 2 for cols in maps) else None
     votes = np.empty((len(maps), m), dtype=np.int64)
-    for lo, planes in distance.plane_tiles(query_t[used], train_t[used]):
-        r = planes.shape[1]
+    query_t, train_t = query_t[used], train_t[used]
+    for lo in range(0, m, rows):
+        r = min(rows, m - lo)
+        planes = plane_buf[:, :r]
+        np.subtract(query_t[:, lo : lo + r, None], train_t[:, None, :], out=planes)
+        planes *= planes
         key = key_buf[:r]
         with np.errstate(over="ignore"):  # a float64 sum past the float32 range keys as +inf
             for f, cols in enumerate(maps):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SCHEMA_VERSION, LabeledSet, SeedSpec, UnlabeledSet, _check_schema, write_json
-from .distance import min_pair_sq, min_sq, min_sq_by_label, sq_blocks
+from .distance import min_pair_sq, min_sq, min_sq_by_label, pair_sq
 from .featuremaps import FeatureFamily, FeatureMap, apply_batch, cor_family
 from .knn import family_votes
 
@@ -134,18 +134,18 @@ class Scene:
 
     @staticmethod
     def from_json(obj: dict) -> "Scene":
-        _check_schema(obj)
-        comps = tuple(
-            SceneComponent(
+        _check_schema(obj, "dim", "label_count")
+        comps = []
+        for c in obj["components"]:
+            _check_schema(c, "label")
+            comps.append(SceneComponent(
                 center=tuple(c["center"]),
                 radius=float(c["radius"]),
                 label=int(c["label"]),
                 weight=float(c["weight"]),
                 flip_prob=float(c.get("flip_prob", 0.0)),
-            )
-            for c in obj["components"]
-        )
-        return Scene(int(obj["dim"]), comps, int(obj["label_count"]))
+            ))
+        return Scene(int(obj["dim"]), tuple(comps), int(obj["label_count"]))
 
 
 def sample(scene: Scene, n: int, seed: SeedSpec) -> LabeledSet:
@@ -268,7 +268,7 @@ class ShiftProblem:
 
     @staticmethod
     def from_json(obj: dict) -> "ShiftProblem":
-        _check_schema(obj)
+        _check_schema(obj, "ground_truth")
         return ShiftProblem(
             Scene.from_json(obj["source"]),
             Scene.from_json(obj["target"]),
@@ -512,8 +512,8 @@ def _worst_unify_violation(
     w = d.argmin()  # the first minimum, at the smallest target index
     t, dmin = int(bad[w]), d[w]
     srcs = np.flatnonzero(src_bayes != tgt_bayes[t])  # the subset near[t] came from
-    _, sq = next(sq_blocks(zt[t : t + 1], zs[srcs]))
-    pairs = (sq[0] < limit * limit) & (np.sqrt(sq[0]) == dmin)
+    sq = pair_sq(zt[t], zs[srcs])
+    pairs = (sq < limit * limit) & (np.sqrt(sq) == dmin)
     return float(dmin), int(srcs[np.flatnonzero(pairs)[0]]), t
 
 
@@ -745,4 +745,4 @@ def _null_rows_and_row_direction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance of every row of a to every row of b."""
-    return np.sqrt(np.vstack([sq for _, sq in sq_blocks(a, b)]))
+    return np.sqrt(pair_sq(a[:, None], b[None]))

@@ -465,6 +465,19 @@ class TestExitCodes:
                      json.dumps({**figure1_panel("a").to_json(), "target": {"dim": 2, "label_count": 1, "components": [
                          {"center": [0, 0], "radius": 1, "label": 0, "weight": 1, "flip_prob": 0.2}]}}),
                      "flip_prob needs at least two labels", id="one-label-flip"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], '{"D": 2, "K": 1, "maps": [5]}',
+                     "map entry 5 is not an object", id="family-map-number"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"], '{"D": 2, "K": 1, "maps": ["J"]}',
+                     "map entry 'J' is not an object", id="family-map-string"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"],
+                     '{"D": 2, "K": 1, "maps": [{"J": [0.7]}, {"J": [1]}]}', "J must be an integer", id="family-fractional-J"),
+        pytest.param(["ddprobe", "--family", "{f}", "--out", "{tmp}/o.json"],
+                     '{"D": 2.9, "K": 1, "maps": [{"J": [0]}, {"J": [1]}]}', "D must be an integer", id="family-fractional-D"),
+        pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"], _panel_a_with("label", 0.9),
+                     "label must be an integer", id="fractional-label"),
+        pytest.param(["scenario", "--spec", "{f}", "--out", "{tmp}/x"],
+                     json.dumps({**figure1_panel("a").to_json(), "ground_truth": [1.5]}),
+                     "ground_truth must be an integer", id="fractional-ground-truth"),
     ])
     def test_bad_json_file_exits_2(self, tmp_path, argv, text, key, capsys):
         spec = tmp_path / "f.json"

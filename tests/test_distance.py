@@ -1,30 +1,30 @@
-"""Chunk-size independence of every caller of the chunked distance kernel.
+"""Tile-size independence of the k-NN full scan and of every caller of it.
 
-Each test reruns a caller with the chunk budget forced down to 1-row chunks
-and to a few rows per chunk (leaving a ragged last chunk), and requires
-exactly the output of the default budget. The k-NN search is also compared
-with a full stable-sort oracle on tie-heavy integer lattices and on 1-D
-floats a few ulps apart, and so are the votes: the 1-D run votes there and
-on blocks of copies that the run splits at either end, and the full scan's
-threshold votes on lattices of dim 1-3, on rows where every point ties and
-on groups so far apart that squared distances overflow to +inf; and, where
-float64 squared distances differ, on float32 keys that overflow to +inf,
-underflow to 0 or fall within one float32 ulp, on rows that span several
-sort blocks with a tie across a block edge, and with k + 1 > 512.
-The nearest-reference routes (the sorted 1-D `min_sq`, the strip search
-behind `min_sq`, `min_sq_by_label` and `min_pair_sq` on images of dim 2-4,
-the k = 1 search, the k = 1 vote behind the induced labeler, on the sorted
-run and on the full scan, and the certify unify scan) are
-compared bit for bit with full scans on the same kinds of lattices, on
-floats whose squares underflow, on far and collinear clouds and on copies.
-The kernel's bits are checked against a coordinate-order plane sum for
-C-ordered, Fortran-ordered and strided inputs, as are the paired distances
-of `pair_sq` and the margins built on them. The shared planes of
-`plane_tiles`, any column subset added in any order, are checked against
-`sq_blocks` and `pair_sq`, and each row of a family vote against the
-stable-sort vote of its map alone, on families that mix coordinate maps
-with overlapping coordinates, the identity, no map and linear maps, with
-1-D and wider images.
+Each test reruns a caller with the scan's tile budget, knn.CHUNK_ENTRIES,
+forced down to 1-row tiles and to a few rows per tile (leaving a ragged last
+tile), and requires exactly the output of the default budget. The k-NN
+search is also compared with a full stable-sort oracle on tie-heavy integer
+lattices and on 1-D floats a few ulps apart, and so are the votes: the 1-D
+run votes there and on blocks of copies that the run splits at either end,
+and the full scan's threshold votes on lattices of dim 1-3, on rows where
+every point ties and on groups so far apart that squared distances overflow
+to +inf; and, where float64 squared distances differ, on float32 keys that
+overflow to +inf, underflow to 0 or fall within one float32 ulp, on rows
+that span several sort blocks with a tie across a block edge, and with k + 1
+> 512. The nearest-reference routes (the sorted 1-D `min_sq`, the strip
+search behind `min_sq`, `min_sq_by_label` and `min_pair_sq` on images of dim
+2-4, the k = 1 search, the k = 1 vote behind the induced labeler, on the
+sorted run and on the full scan, and the certify unify scan) are compared
+bit for bit with full scans on the same kinds of lattices, on floats whose
+squares underflow, on far and collinear clouds and on copies. The bits of
+the `pair_sq` table, of its one-row case, of the paired distances of
+`pair_sq` and of the margins built on them are checked against a
+coordinate-order plane sum for C-ordered, Fortran-ordered and strided
+inputs. Coordinate planes filled as the full scan fills them, any column
+subset added in any order by `plane_sum`, are checked against `pair_sq`, and
+each row of a family vote against the stable-sort vote of its map alone, on
+families that mix coordinate maps with overlapping coordinates, the
+identity, no map and linear maps, with 1-D and wider images.
 """
 
 import itertools
@@ -78,25 +78,30 @@ def lattice():
 def _assert_chunk_independent(monkeypatch, fn):
     want = fn()
     for budget in SMALL_BUDGETS:
-        monkeypatch.setattr(distance, "CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(knn, "CHUNK_ENTRIES", budget)
         assert fn() == want, f"budget {budget}"
     return want
 
 
 def test_blocks_cover_every_row_with_a_ragged_tail(lattice, monkeypatch):
+    """A vote on the 2-D lattice in 7-row tiles, the last one ragged, is the
+    stable-sort vote and the default-budget vote."""
     train, queries = lattice
-    monkeypatch.setattr(distance, "CHUNK_ENTRIES", RAGGED)
-    blocks = list(distance.sq_blocks(queries, train))
-    rows = [sq.shape[0] for _, sq in blocks]
-    assert rows[0] == 7 and rows[-1] == M % 7 != 0
-    assert [lo for lo, _ in blocks] == list(range(0, M, 7))
     exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(np.concatenate([sq for _, sq in blocks]), exact)
+    assert np.array_equal(_full_sq(queries, train), exact)
     assert np.array_equal(distance.min_sq(queries, train), exact.min(axis=1))
+    labels = np.random.default_rng(1).integers(0, 3, size=N)
+    clf = KnnClassifier(LabeledSet(train, labels, 3), K)
+    oracle = _vote(labels[np.argsort(exact, axis=1, kind="stable")[:, :K]], 3)
+    default = predict_batch(clf, UnlabeledSet(queries))
+    monkeypatch.setattr(knn, "CHUNK_ENTRIES", RAGGED)
+    assert RAGGED // (N * 2) == 7 and M % 7 != 0
+    ragged = predict_batch(clf, UnlabeledSet(queries))
+    assert np.array_equal(ragged, oracle) and np.array_equal(ragged, default)
 
 
 # 2_000_000 holds the whole lattice in one chunk; the default budget splits it.
-@pytest.mark.parametrize("budget", [*SMALL_BUDGETS, 2_000_000, distance.CHUNK_ENTRIES])
+@pytest.mark.parametrize("budget", [*SMALL_BUDGETS, 2_000_000, knn.CHUNK_ENTRIES])
 def test_neighbor_indices_match_stable_sort_oracle(lattice, monkeypatch, budget):
     train, queries = lattice
     exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
@@ -104,7 +109,7 @@ def test_neighbor_indices_match_stable_sort_oracle(lattice, monkeypatch, budget)
     # k sits inside a run of equal distances for most queries.
     assert np.mean(ranked[:, K - 1] == ranked[:, K]) > 0.5
     oracle = np.argsort(exact, axis=1, kind="stable")[:, :K]
-    monkeypatch.setattr(distance, "CHUNK_ENTRIES", budget)
+    monkeypatch.setattr(knn, "CHUNK_ENTRIES", budget)
     assert np.array_equal(_neighbor_indices(train, queries, K), oracle)
 
 
@@ -165,9 +170,9 @@ def test_neighbor_indices_match_stable_sort_oracle_on_tie_heavy_lattices(case, f
     train, queries, k, rows = case
     exact = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
     oracle = np.argsort(exact, axis=1, kind="stable")[:, :k]
-    budget = rows * train.size if forced else distance.CHUNK_ENTRIES
+    budget = rows * train.size if forced else knn.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        mp.setattr(knn, "CHUNK_ENTRIES", budget)
         assert np.array_equal(_neighbor_indices(train, queries, k), oracle)
 
 
@@ -278,17 +283,17 @@ def test_run_vote_matches_stable_sort_oracle(case, label_count, seed, forced):
     dim 1-3, under the default and a forced chunk budget, with labels drawn
     from a random subset (so some labels have no training point), and on 1-D
     images every run it does not rescan holds exactly those neighbors and no
-    row reaches plane_tiles (behind sq_blocks and every full scan)."""
+    row reaches the full scan."""
     train, queries, k, rows = case
     rng = np.random.default_rng(seed)
     used = rng.choice(label_count, size=rng.integers(1, label_count + 1), replace=False)
     labels = rng.choice(used, size=train.shape[0])
-    budget = (rows or 2) * train.size if forced else distance.CHUNK_ENTRIES
+    budget = (rows or 2) * train.size if forced else knn.CHUNK_ENTRIES
     with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
         oracle = np.argsort(_plane_sum(queries, train), axis=1, kind="stable")[:, :k]
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
-        scans, plane_tiles = [], distance.plane_tiles
-        mp.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
+        mp.setattr(knn, "CHUNK_ENTRIES", budget)
+        scans, threshold_votes = [], knn._threshold_votes
+        mp.setattr(knn, "_threshold_votes", lambda *args: scans.append(args) or threshold_votes(*args))
         clf = KnnClassifier(LabeledSet(train, labels, label_count), k)
         assert np.array_equal(predict_batch(clf, UnlabeledSet(queries)), _vote(labels[oracle], label_count))
         if train.shape[1] > 1:
@@ -379,10 +384,10 @@ def test_family_votes_match_per_map_stable_sort_oracle(case, label_count, seed, 
     budget = {
         "one_row": 1,
         "ragged": rows * train.shape[0] * max(1, _scanned_columns(maps, train.shape[1])),
-        "default": distance.CHUNK_ENTRIES,
+        "default": knn.CHUNK_ENTRIES,
     }[tiles]
     with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        mp.setattr(knn, "CHUNK_ENTRIES", budget)
         got = family_votes(train_set, k, maps, UnlabeledSet(queries))
         assert got.shape == (len(maps), queries.shape[0])
         train_t, query_t, cols = _columns(maps, train, queries)
@@ -434,7 +439,9 @@ def test_kernel_bits_do_not_depend_on_layout(dim):
         s_margin = repr(float(halves[preds[:60] != preds[60:]].min()))
         t_margins = [repr(float(d)) for d in np.sqrt(paired[:20])]
         for (rl, r), (ql, q) in itertools.product(_layouts(refs).items(), _layouts(queries).items()):
-            assert _full_sq(q, r).tobytes() == want.tobytes(), (rl, ql)
+            assert distance.pair_sq(q[:, None], r[None]).tobytes() == want.tobytes(), (rl, ql)
+            for i in (0, 119):
+                assert distance.pair_sq(q[i], r).tobytes() == want[i].tobytes(), (rl, ql, i)
             assert distance.min_sq(q, r).tobytes() == want.min(axis=1).tobytes(), (rl, ql)
             assert distance.pair_sq(q, r[:120]).tobytes() == paired.tobytes(), (rl, ql)
             assert np.array_equal(_neighbor_indices(r, q, 5), nearest), (rl, ql)
@@ -467,7 +474,7 @@ def test_induced_source_labeler(monkeypatch):
     # The labeler's support sample, labeled by the first nearest image.
     pts, _ = _sample_points(prob.source, 1500, SeedSpec(3).substream(21))
     fmap = prob.family[0]
-    sq = np.vstack([sq for _, sq in distance.sq_blocks(apply_batch(fmap, probe), apply_batch(fmap, pts))])
+    sq = _full_sq(apply_batch(fmap, probe), apply_batch(fmap, pts))
     assert got == bayes_labels_batch(prob.source, pts)[sq.argmin(axis=1)].tolist()
 
 
@@ -521,31 +528,25 @@ def nearest_case(draw, dims=(1,), kinds=("lattice", "ulps", "mirror", "far")):
 
 
 def _full_sq(queries, refs):
-    return np.vstack([sq for _, sq in distance.sq_blocks(queries, refs)])
+    return distance.pair_sq(queries[:, None], refs[None])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(case=nearest_case(dims=(1, 2, 3, 4)), data=st.data())
-def test_shared_plane_sums_match_sq_blocks_and_pair_sq(case, data):
-    """The planes of plane_tiles, any subset of columns added in any order by
-    plane_sum, have the bits of sq_blocks and pair_sq on the points' columns
-    in that order, at 1-row tiles, tiles of a few rows with a ragged last
-    one, and the default budget; the tiles cover the rows in order."""
-    refs, queries, rows = case
+def test_shared_plane_sums_match_pair_sq(case, data):
+    """Coordinate planes filled as the full scan fills them, any subset of
+    columns added in any order by plane_sum (into a fresh array or into
+    `out`), have the bits of the pair_sq table and of paired pair_sq on the
+    points' columns in that order."""
+    refs, queries, _ = case
     (m, dim), n = queries.shape, refs.shape[0]
     cols = data.draw(st.permutations(range(dim)))[: data.draw(st.integers(1, dim))]
-    budget = data.draw(st.sampled_from([1, rows * refs.size, distance.CHUNK_ENTRIES]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
-        step = distance.tile_rows(n, dim)
-        tiles = distance.plane_tiles(np.ascontiguousarray(queries.T), np.ascontiguousarray(refs.T))
-        # A tile is valid only until the next step, so each is summed before it.
-        sums = [(lo, distance.plane_sum(p, cols), distance.plane_sum(p, cols, out=np.empty(p.shape[1:]))) for lo, p in tiles]
-        blocks = np.vstack([sq for _, sq in distance.sq_blocks(queries[:, cols], refs[:, cols])])
-    assert [lo for lo, _, _ in sums] == list(range(0, m, step))
-    got = np.vstack([fresh for _, fresh, _ in sums])
-    assert got.tobytes() == np.vstack([into for _, _, into in sums]).tobytes()
-    assert got.tobytes() == blocks.tobytes()
+    planes = np.empty((dim, m, n))
+    np.subtract(np.ascontiguousarray(queries.T)[:, :, None], np.ascontiguousarray(refs.T)[:, None, :], out=planes)
+    planes *= planes
+    got = distance.plane_sum(planes, cols)
+    assert got.tobytes() == distance.plane_sum(planes, cols, out=np.empty((m, n))).tobytes()
+    assert got.tobytes() == _full_sq(queries[:, cols], refs[:, cols]).tobytes()
     pairs = distance.pair_sq(np.repeat(queries[:, cols], n, axis=0), np.tile(refs[:, cols], (m, 1)))
     assert got.tobytes() == pairs.reshape(m, n).tobytes()
 
@@ -569,9 +570,9 @@ def test_k1_search_matches_first_argmin(case, forced):
     # cycle, so most tied references differ in label.
     pad = [np.c_[p, np.zeros(p.shape[0])] for p in (refs, queries)]
     labels = np.arange(refs.shape[0]) % 5
-    budget = rows * refs.size if forced else distance.CHUNK_ENTRIES
+    budget = rows * refs.size if forced else knn.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        mp.setattr(knn, "CHUNK_ENTRIES", budget)
         assert np.array_equal(_neighbor_indices(refs, queries, 1)[:, 0], want)
         for r, q in ((refs, queries), pad):
             clf = KnnClassifier(LabeledSet(r, labels, 5), 1)
@@ -598,9 +599,9 @@ def test_min_sq_by_label_matches_per_label_full_scan(case, forced):
     for lab in range(label_count):
         if np.any(labels == lab):
             want[lab] = full[:, labels == lab].min(axis=1)
-    budget = rows * refs.size if forced else distance.CHUNK_ENTRIES
+    budget = rows * refs.size if forced else knn.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        mp.setattr(knn, "CHUNK_ENTRIES", budget)
         got = distance.min_sq_by_label(queries, refs, labels, label_count)
     assert got.tobytes() == want.tobytes()
     assert got.min(axis=0).tobytes() == full.min(axis=1).tobytes()
@@ -636,21 +637,15 @@ def test_certify_beta_hat_equals_beta_estimate(problem, map_index, preserves, se
 
 def _unify_pair_scan(zt, tgt_bayes, zs, src_bayes, limit):
     """The certify unify scan before the per-target route: every close pair."""
-    worst = None
-    for lo, sq in distance.sq_blocks(zt, zs):
-        close = sq < limit * limit
-        if not np.any(close):
-            continue
-        ti, si = np.nonzero(close)
-        disagree = tgt_bayes[lo + ti] != src_bayes[si]
-        if np.any(disagree):
-            bad = np.nonzero(disagree)[0]
-            d = np.sqrt(sq[ti[bad], si[bad]])
-            w = int(bad[d.argmin()])
-            cand = (float(d.min()), int(si[w]), int(lo + ti[w]))
-            if worst is None or cand[0] < worst[0]:
-                worst = cand
-    return worst
+    sq = _full_sq(zt, zs)
+    ti, si = np.nonzero(sq < limit * limit)
+    disagree = tgt_bayes[ti] != src_bayes[si]
+    if not np.any(disagree):
+        return None
+    bad = np.nonzero(disagree)[0]
+    d = np.sqrt(sq[ti[bad], si[bad]])
+    w = int(bad[d.argmin()])
+    return float(d.min()), int(si[w]), int(ti[w])
 
 
 @st.composite
@@ -716,9 +711,9 @@ def test_certify_unify_with_a_target_label_the_source_lacks():
 def test_worst_unify_violation_matches_pair_scan(case, forced):
     zt, tgt_bayes, zs, src_bayes, limit, rows = case
     want = _unify_pair_scan(zt, tgt_bayes, zs, src_bayes, limit)
-    budget = rows * zs.size if forced else distance.CHUNK_ENTRIES
+    budget = rows * zs.size if forced else knn.CHUNK_ENTRIES
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "CHUNK_ENTRIES", budget)
+        mp.setattr(knn, "CHUNK_ENTRIES", budget)
         near = distance.min_sq_by_label(zt, zs, src_bayes, 1 + max(src_bayes.max(), tgt_bayes.max()))
         assert repr(_worst_unify_violation(near, zt, tgt_bayes, zs, src_bayes, limit)) == repr(want)
 

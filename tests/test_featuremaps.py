@@ -132,22 +132,22 @@ def _lattice_quads(count, seed):
     return [q_of(*p) for p in 0.1 * rng.integers(-6, 7, size=(count, 4, 4))]
 
 
-def _blocks_sq(a, b):
-    """Squared distance of row i of a to row i of b, read off sq_blocks' diagonal."""
-    return np.concatenate([np.diagonal(next(distance.sq_blocks(a[i : i + 50], b[i : i + 50]))[1])
+def _table_sq(a, b):
+    """Squared distance of row i of a to row i of b, read off the diagonals of pair_sq tables."""
+    return np.concatenate([np.diagonal(distance.pair_sq(a[i : i + 50, None], b[None, i : i + 50]))
                            for i in range(0, a.shape[0], 50)])
 
 
 class TestComparerBits:
     @pytest.mark.parametrize("family", [cor_family(4, 2), proj_family_random(4, 2, 6, SeedSpec(0))],
                              ids=["cor42", "proj42"])
-    def test_bits_equal_sq_blocks_comparison(self, family):
+    def test_bits_equal_pair_sq_table_comparison(self, family):
         quads = _lattice_quads(20_000, 1)
         pts = [np.stack([getattr(q, name) for q in quads]) for name in ("x1", "x2", "x3", "x4")]
         got = featuremaps._comparer_bits(family.maps, quads)
         for i, fmap in enumerate(family.maps):
             z1, z2, z3, z4 = (apply_batch(fmap, p) for p in pts)
-            assert np.array_equal(got[i], _blocks_sq(z1, z2) >= _blocks_sq(z3, z4)), i
+            assert np.array_equal(got[i], _table_sq(z1, z2) >= _table_sq(z3, z4)), i
 
     @pytest.mark.parametrize("family", [cor_family(4, 2), proj_family_random(4, 2, 64, SeedSpec(3))],
                              ids=["cor42", "proj42"])
@@ -253,6 +253,25 @@ class TestFamilies:
         back2 = FeatureFamily.load(path2)
         for ma, mb in zip(linfam.maps, back2.maps):
             assert np.array_equal(ma.matrix, mb.matrix)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("maps", [5], "map entry 5 is not an object"),
+        ("maps", ["J"], "map entry 'J' is not an object"),
+        ("maps", [{"J": [0.7]}, {"J": [1]}], "J must be an integer"),
+        ("maps", [{"J": [True]}, {"J": [1]}], "J must be an integer"),
+        ("maps", [{"J": "0"}, {"J": [1]}], "J must be an integer"),
+        ("D", 2.9, "D must be an integer"),
+        ("D", True, "D must be an integer"),
+        ("K", 1.5, "K must be an integer"),
+    ])
+    def test_from_json_rejects_malformed_entries(self, field, value, error):
+        obj = {**cor_family(2, 1).to_json(), field: value}
+        with pytest.raises(ValueError, match=error):
+            FeatureFamily.from_json(obj)
+
+    def test_from_json_takes_integral_floats(self):
+        obj = {**cor_family(2, 1).to_json(), "D": 2.0, "K": 1.0, "maps": [{"J": [0.0]}, {"J": [1]}]}
+        assert FeatureFamily.from_json(obj).to_json() == cor_family(2, 1).to_json()
 
 
 def random_quads(dim, count, seed):

@@ -223,7 +223,7 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
     names, k = 1 splits the nearest block at its end nearest the query, and
     the split rows, exactly, go to the tie rule, with their label counts at
     or below their k-th squared distance and their points at it. No case
-    reaches plane_tiles, which is behind sq_blocks and every full scan. On
+    reaches the full scan, knn._threshold_votes. On
     Gaussian images every run starts at its midpoint guess, so the one search
     of the run starts gets brackets of width 0."""
     rng = np.random.default_rng(0)
@@ -238,8 +238,8 @@ def test_1d_search_takes_the_run_route(monkeypatch, case, k):
         labeler = induced_source_labeler(prob, 0, 2000, SeedSpec(0))
         probes = sample(prob.target, 500, SeedSpec(1)).points
     scans, exact, widths = [], [], []
-    plane_tiles = distance.plane_tiles  # behind every full scan
-    monkeypatch.setattr(distance, "plane_tiles", lambda *args: scans.append(args) or plane_tiles(*args))
+    threshold_votes = knn._threshold_votes  # the full scan
+    monkeypatch.setattr(knn, "_threshold_votes", lambda *args: scans.append(args) or threshold_votes(*args))
     first_true = distance._first_true
     monkeypatch.setattr(distance, "_first_true", lambda lo, hi, pred: (
         widths.append((pred.__qualname__, int((hi - lo).max()))) or first_true(lo, hi, pred)))

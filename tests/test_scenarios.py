@@ -187,6 +187,22 @@ class TestSceneValidation:
         back = Scene.from_json(scene.to_json())
         assert back.to_json() == scene.to_json()
 
+    @pytest.mark.parametrize("field, value", [("dim", 2.5), ("dim", True), ("label_count", 2.5), ("label", 0.9), ("label", False)])
+    def test_scene_from_json_rejects_non_integers(self, field, value):
+        obj = two_ball_scene().to_json()
+        if field == "label":
+            obj["components"][0]["label"] = value
+        else:
+            obj[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Scene.from_json(obj)
+
+    @pytest.mark.parametrize("ground_truth", [[1.5], [True], 1.5, ["1"]])
+    def test_problem_from_json_rejects_non_integer_ground_truth(self, ground_truth):
+        obj = {**figure1_panel("a").to_json(), "ground_truth": ground_truth}
+        with pytest.raises(ValueError, match="ground_truth must be an integer"):
+            ShiftProblem.from_json(obj)
+
     def test_problem_round_trip(self, tmp_path):
         prob = figure1_panel("b")
         path = tmp_path / "p.json"
